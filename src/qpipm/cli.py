@@ -37,6 +37,18 @@ class QpFileError(ValueError):
     """Problem file is malformed; message names the offending member."""
 
 
+_TOP_MEMBERS = ("n", "hessian", "p", "A", "l", "u", "C", "b", "lx", "ux")
+_COO_MEMBERS = ("rows", "cols", "vals")
+_HESSIAN_MEMBERS = {"diagonal": ("kind", "d"), "coo": ("kind", *_COO_MEMBERS),
+                    "bfgs": ("kind", "h0_diag", "u", "w")}
+
+
+def _reject_unknown(doc: dict, prefix: str, known) -> None:
+    for key in doc:
+        if key not in known:
+            raise QpFileError(f"unknown member '{prefix}{key}'")
+
+
 def _member(doc: dict, name: str, default=None, required=False):
     if name not in doc:
         if required:
@@ -62,6 +74,17 @@ def _real_array(doc, name, allow_null=False) -> np.ndarray:
     return out
 
 
+def _index_array(raw, name, size) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise QpFileError(f"member '{name}' must be an array")
+    for i, v in enumerate(raw):
+        if type(v) is not int:
+            raise QpFileError(f"member '{name}' contains non-integer entry at position {i}")
+        if not 0 <= v < size:
+            raise QpFileError(f"member '{name}': coordinate index out of range at position {i}")
+    return np.array(raw, dtype=np.int64)
+
+
 def _bounds(doc, lname, uname, sentinel_lo, sentinel_hi) -> Bounds:
     lo = _real_array(doc.get(lname, []), lname, allow_null=True)
     hi = _real_array(doc.get(uname, []), uname, allow_null=True)
@@ -74,18 +97,17 @@ def _bounds(doc, lname, uname, sentinel_lo, sentinel_hi) -> Bounds:
 def _coo_matrix(doc, name, n_rows, n_cols) -> SparseMatrix:
     if doc is None:
         return SparseMatrix.empty(n_rows, n_cols)
-    for key in ("rows", "cols", "vals"):
+    if not isinstance(doc, dict):
+        raise QpFileError(f"member '{name}' must be an object")
+    _reject_unknown(doc, f"{name}.", _COO_MEMBERS)
+    for key in _COO_MEMBERS:
         if key not in doc:
             raise QpFileError(f"member '{name}' is missing '{key}'")
-    rows, cols = doc["rows"], doc["cols"]
+    rows = _index_array(doc["rows"], f"{name}.rows", n_rows)
+    cols = _index_array(doc["cols"], f"{name}.cols", n_cols)
     vals = _real_array(doc["vals"], f"{name}.vals")
     if not (len(rows) == len(cols) == len(vals)):
         raise QpFileError(f"member '{name}': rows/cols/vals lengths differ")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows
-                      or cols.min() < 0 or cols.max() >= n_cols):
-        raise QpFileError(f"member '{name}': coordinate index out of range")
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
 
@@ -93,30 +115,33 @@ def _hessian(doc, n):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise QpFileError("member 'hessian' must be an object with a 'kind'")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _HESSIAN_MEMBERS:
+        raise QpFileError(f"member 'hessian.kind' has unknown value '{kind}'")
+    _reject_unknown(doc, "hessian.", _HESSIAN_MEMBERS[kind])
     if kind == "diagonal":
         d = _real_array(_member(doc, "d", required=True), "hessian.d")
         if len(d) != n:
             raise QpFileError("member 'hessian.d' has wrong length")
         return DiagonalHessian(d)
     if kind == "coo":
-        return SparseHessian(_coo_matrix(doc, "hessian", n, n))
-    if kind == "bfgs":
-        h0 = _real_array(_member(doc, "h0_diag", required=True), "hessian.h0_diag")
-        w = _real_array(_member(doc, "w", required=True), "hessian.w")
-        u_rows = _member(doc, "u", required=True)
-        if not isinstance(u_rows, list) or len(u_rows) != n:
-            raise QpFileError("member 'hessian.u' must be an n-row array of arrays")
-        u = np.array([_real_array(row, "hessian.u") for row in u_rows]) \
-            if n else np.zeros((0, len(w)))
-        if u.shape != (n, len(w)):
-            raise QpFileError("member 'hessian.u' has inconsistent row lengths")
-        return QuasiNewtonHessian(h0, u, w)
-    raise QpFileError(f"member 'hessian.kind' has unknown value '{kind}'")
+        coo = {key: doc[key] for key in _COO_MEMBERS if key in doc}
+        return SparseHessian(_coo_matrix(coo, "hessian", n, n))
+    h0 = _real_array(_member(doc, "h0_diag", required=True), "hessian.h0_diag")
+    w = _real_array(_member(doc, "w", required=True), "hessian.w")
+    u_rows = _member(doc, "u", required=True)
+    if not isinstance(u_rows, list) or len(u_rows) != n:
+        raise QpFileError("member 'hessian.u' must be an n-row array of arrays")
+    u = np.array([_real_array(row, "hessian.u") for row in u_rows]) \
+        if n else np.zeros((0, len(w)))
+    if u.shape != (n, len(w)):
+        raise QpFileError("member 'hessian.u' has inconsistent row lengths")
+    return QuasiNewtonHessian(h0, u, w)
 
 
 def parse_qp_document(doc: dict) -> QpProblem:
     if not isinstance(doc, dict):
         raise QpFileError("document root must be an object")
+    _reject_unknown(doc, "", _TOP_MEMBERS)
     n = _member(doc, "n", required=True)
     if not isinstance(n, int) or n < 0:
         raise QpFileError("member 'n' must be a nonnegative integer")

@@ -1,9 +1,10 @@
 """Residuals, the reduced 2x2 blocks, and the matrix-free doubly augmented operator.
 
-The Newton system is never formed. Each operator application uses exactly one
-product with B = (C; A_l; -A_u) and one with its transpose, where A_l and A_u
-are the rows of A with a finite lower / upper bound. Variable bounds enter
-only through diagonal terms.
+The Newton system is never formed. Each operator application uses one
+Hessian product, one product with B = (C; A_l; -A_u) and one with its
+transpose, where A_l and A_u are the rows of A with a finite lower / upper
+bound. Variable bounds enter only through diagonal terms. B, B' and diag(H)
+are built once per solve (``BoundIndexMap``); per iteration only D changes.
 """
 
 from __future__ import annotations
@@ -18,21 +19,42 @@ from .model import QpProblem, hessian_apply, hessian_diagonal, hessian_to_dense
 
 @dataclass(frozen=True)
 class BoundIndexMap:
-    """Indices with a finite bound, per family; infinite bounds appear nowhere."""
+    """What the KKT operator needs that is fixed for the whole solve.
+
+    Indices with a finite bound, per family (infinite bounds appear nowhere);
+    the CSR b = (C; A_l; -A_u), its CSR transpose bt, bt_sq = bt * bt
+    elementwise, and h_diag = diag(H). Built once per solve.
+    """
 
     lin_lower: np.ndarray
     lin_upper: np.ndarray
     var_lower: np.ndarray
     var_upper: np.ndarray
+    b: sp.csr_matrix
+    bt: sp.csr_matrix
+    bt_sq: sp.csr_matrix
+    h_diag: np.ndarray
 
     @classmethod
     def from_problem(cls, problem: QpProblem) -> "BoundIndexMap":
+        lin_lower = np.where(np.isfinite(problem.lin_bounds.lower))[0]
+        lin_upper = np.where(np.isfinite(problem.lin_bounds.upper))[0]
+        a = problem.a.csr
+        b = sp.vstack([problem.c.csr, a[lin_lower], -a[lin_upper]], format="csr")
+        bt = b.T.tocsr()
         return cls(
-            lin_lower=np.where(np.isfinite(problem.lin_bounds.lower))[0],
-            lin_upper=np.where(np.isfinite(problem.lin_bounds.upper))[0],
+            lin_lower=lin_lower, lin_upper=lin_upper,
             var_lower=np.where(np.isfinite(problem.var_bounds.lower))[0],
             var_upper=np.where(np.isfinite(problem.var_bounds.upper))[0],
+            b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr(),
+            h_diag=hessian_diagonal(problem.hessian),
         )
+
+    def split_rows(self, w: np.ndarray):
+        """The (C, A_l, A_u) parts of a vector indexed by the rows of b."""
+        m_l = self.m_lin_lower
+        m_e = self.b.shape[0] - m_l - self.m_lin_upper
+        return w[:m_e], w[m_e:m_e + m_l], w[m_e + m_l:]
 
     @property
     def m_lin_lower(self):
@@ -116,18 +138,16 @@ def compute_residuals(problem: QpProblem, state: IterateState,
     if bmap is None:
         bmap = BoundIndexMap.from_problem(problem)
     x, mu = state.x, state.mu
-    a_l = problem.a.row_submatrix(bmap.lin_lower)
-    a_u = problem.a.row_submatrix(bmap.lin_upper)
+    cx, a_l_x, neg_a_u_x = bmap.split_rows(bmap.b @ x)
 
     r_H = hessian_apply(problem.hessian, x) + problem.p \
-        - a_l.T @ state.lam_lA + a_u.T @ state.lam_uA \
-        - problem.c.csr.T @ state.lam_e
+        - bmap.bt @ np.concatenate([state.lam_e, state.lam_lA, state.lam_uA])
     r_H[bmap.var_lower] -= state.lam_lx
     r_H[bmap.var_upper] += state.lam_ux
 
-    r_e = problem.c.csr @ x - problem.b + mu * state.lam_e
-    r_lA = a_l @ x - state.s_lA - problem.lin_bounds.lower[bmap.lin_lower]
-    r_uA = problem.lin_bounds.upper[bmap.lin_upper] - a_u @ x - state.s_uA
+    r_e = cx - problem.b + mu * state.lam_e
+    r_lA = a_l_x - state.s_lA - problem.lin_bounds.lower[bmap.lin_lower]
+    r_uA = problem.lin_bounds.upper[bmap.lin_upper] + neg_a_u_x - state.s_uA
     r_lx = x[bmap.var_lower] - state.s_lx - problem.var_bounds.lower[bmap.var_lower]
     r_ux = problem.var_bounds.upper[bmap.var_upper] - x[bmap.var_upper] - state.s_ux
 
@@ -147,7 +167,7 @@ def compute_residuals(problem: QpProblem, state: IterateState,
 class KktOperator:
     """Matrix-free doubly augmented system [[Q + 2B'D^{-1}B, B'], [B, D]].
 
-    Q u = H u + q_diag_extra * u; B = (C; A_l; -A_u); D is diagonal.
+    Q u = H u + q_diag_extra * u; B = bmap.b = (C; A_l; -A_u); D is diagonal.
     Immutable per IPM iteration; applications are pure.
     """
 
@@ -155,9 +175,6 @@ class KktOperator:
     bmap: BoundIndexMap
     q_diag_extra: np.ndarray
     d_diag: np.ndarray
-    c_csr: sp.csr_matrix
-    a_l_csr: sp.csr_matrix
-    a_u_csr: sp.csr_matrix
 
     @property
     def n(self) -> int:
@@ -175,13 +192,10 @@ class KktOperator:
         return v[:self.n], v[self.n:]
 
     def apply_b(self, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.c_csr @ u, self.a_l_csr @ u, -(self.a_u_csr @ u)])
+        return self.bmap.b @ u
 
     def apply_bt(self, w: np.ndarray) -> np.ndarray:
-        m_e = self.problem.m_eq
-        m_l = self.bmap.m_lin_lower
-        w_e, w_l, w_u = w[:m_e], w[m_e:m_e + m_l], w[m_e + m_l:]
-        return self.c_csr.T @ w_e + self.a_l_csr.T @ w_l - self.a_u_csr.T @ w_u
+        return self.bmap.bt @ w
 
     def apply_q(self, u: np.ndarray) -> np.ndarray:
         return hessian_apply(self.problem.hessian, u) + self.q_diag_extra * u
@@ -200,12 +214,8 @@ def build_operator(problem: QpProblem, state: IterateState,
         state.s_lA / state.lam_lA,
         state.s_uA / state.lam_uA,
     ])
-    return KktOperator(
-        problem=problem, bmap=bmap, q_diag_extra=q_extra, d_diag=d_diag,
-        c_csr=problem.c.csr,
-        a_l_csr=problem.a.row_submatrix(bmap.lin_lower),
-        a_u_csr=problem.a.row_submatrix(bmap.lin_upper),
-    )
+    return KktOperator(problem=problem, bmap=bmap, q_diag_extra=q_extra,
+                       d_diag=d_diag)
 
 
 def apply_doubly_augmented(op: KktOperator, v: np.ndarray) -> np.ndarray:
@@ -227,15 +237,8 @@ def jacobi_diagonal(op: KktOperator) -> np.ndarray:
     Top block: diag(Q) + 2 sum_i B_ij^2 / D_ii; the rows of A with both
     bounds finite contribute twice, once per family. Bottom block: D.
     """
-    m_e = op.problem.m_eq
-    m_l = op.bmap.m_lin_lower
-    inv_d = 1.0 / op.d_diag
-    top = hessian_diagonal(op.problem.hessian) + op.q_diag_extra
-    for csr, dinv in ((op.c_csr, inv_d[:m_e]),
-                      (op.a_l_csr, inv_d[m_e:m_e + m_l]),
-                      (op.a_u_csr, inv_d[m_e + m_l:])):
-        if csr.shape[0]:
-            top += 2.0 * (csr.multiply(csr).T @ dinv)
+    bmap = op.bmap
+    top = bmap.h_diag + op.q_diag_extra + 2.0 * (bmap.bt_sq @ (1.0 / op.d_diag))
     return np.concatenate([top, op.d_diag])
 
 
@@ -260,11 +263,7 @@ def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.nda
 def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
                        res: Residuals, state: IterateState) -> FullDirection:
     """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system."""
-    m_e = op.problem.m_eq
-    m_l = op.bmap.m_lin_lower
-    d_lam_e = d_lam_a[:m_e]
-    d_lam_lA = d_lam_a[m_e:m_e + m_l]
-    d_lam_uA = d_lam_a[m_e + m_l:]
+    d_lam_e, d_lam_lA, d_lam_uA = op.bmap.split_rows(d_lam_a)
 
     ds_lA = -(res.r_c1 + state.s_lA * d_lam_lA) / state.lam_lA
     ds_uA = -(res.r_c2 + state.s_uA * d_lam_uA) / state.lam_uA
@@ -315,9 +314,4 @@ def _dense_blocks(op: KktOperator, cap: int):
     if op.dim > cap:
         raise ValueError(f"dense oracle cap exceeded: dimension {op.dim} > {cap}")
     q = hessian_to_dense(op.problem.hessian) + np.diag(op.q_diag_extra)
-    b = np.vstack([
-        op.c_csr.toarray(),
-        op.a_l_csr.toarray(),
-        -op.a_u_csr.toarray(),
-    ]) if op.m else np.zeros((0, op.n))
-    return q, b, op.d_diag
+    return q, op.bmap.b.toarray(), op.d_diag

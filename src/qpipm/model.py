@@ -45,10 +45,11 @@ class SparseMatrix:
             raise DimensionError("col_indices and values must have equal length")
         if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
             raise ValueError("column index out of range")
-        for i in range(self.n_rows):
-            row = ci[ro[i]:ro[i + 1]]
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"column indices not strictly increasing in row {i}")
+        row_of = np.repeat(np.arange(self.n_rows), np.diff(ro))
+        bad = np.flatnonzero((np.diff(ci) <= 0) & (row_of[1:] == row_of[:-1]))
+        if len(bad):
+            raise ValueError(
+                f"column indices not strictly increasing in row {row_of[bad[0]]}")
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
@@ -89,10 +90,6 @@ class SparseMatrix:
             lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
             out[i, self.col_indices[lo:hi]] = self.values[lo:hi]
         return out
-
-    def row_submatrix(self, rows) -> sp.csr_matrix:
-        """Restriction to the given rows, as a scipy CSR matrix."""
-        return self.csr[np.asarray(rows, dtype=np.int64), :]
 
 
 @dataclass(frozen=True)

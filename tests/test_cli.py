@@ -1,11 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpipm.cli import (TRACE_HEADER, build_parser, load_qp_file, main,
-                       parse_qp_document, qp_document, read_trace, write_trace)
-from qpipm.ipm import TraceRecord
+from qpipm.cli import (TRACE_HEADER, QpFileError, build_parser, load_qp_file,
+                       main, parse_qp_document, qp_document, read_trace,
+                       write_trace)
+from qpipm.ipm import SolveStatus, TraceRecord, solve
 from qpipm.model import (DiagonalHessian, QuasiNewtonHessian, SparseHessian,
                          box_qp, hessian_to_dense)
 
@@ -52,6 +55,46 @@ class TestQpFile:
         doc["hessian"] = {"kind": "dense"}
         with pytest.raises(Exception, match="hessian.kind"):
             parse_qp_document(doc)
+
+    @pytest.mark.parametrize("member, edit", [
+        ("la", lambda d: d.update(la=[0.0])),
+        ("hessian.h0", lambda d: d["hessian"].update(h0=[1.0])),
+        ("hessian.shape", lambda d: d.update(hessian={
+            "kind": "coo", "rows": [0], "cols": [0], "vals": [1.0], "shape": [1, 1]})),
+        ("hessian.d", lambda d: d.update(hessian={
+            "kind": "bfgs", "h0_diag": [1.0], "u": [[]], "w": [], "d": [1.0]})),
+        ("A.shape", lambda d: d.update(
+            A={"rows": [0], "cols": [0], "vals": [1.0], "shape": [1, 1]},
+            l=[0.0], u=[1.0])),
+        ("C.n_rows", lambda d: d.update(
+            C={"rows": [], "cols": [], "vals": [], "n_rows": 0})),
+    ])
+    def test_unknown_member_named(self, member, edit):
+        doc = box_qp_doc()
+        edit(doc)
+        with pytest.raises(QpFileError, match=f"unknown member '{re.escape(member)}'"):
+            parse_qp_document(doc)
+
+    @pytest.mark.parametrize("rows", [[0.7], "x", [True], [None], 0])
+    def test_non_integer_index_array_named(self, rows, tmp_path, capsys):
+        doc = box_qp_doc()
+        doc.update(A={"rows": rows, "cols": [0], "vals": [1.0]}, l=[0.0], u=[1.0])
+        with pytest.raises(QpFileError, match="'A.rows'"):
+            parse_qp_document(doc)
+        path = tmp_path / "bad_rows.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert "'A.rows'" in capsys.readouterr().err
+
+    def test_readme_example_solves(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        problem = parse_qp_document(json.loads(block))
+        assert problem.m_lin == 1
+        report = solve(problem)
+        assert report.status is SolveStatus.CONVERGED
+        np.testing.assert_allclose(report.x, [1.0, 0.0], atol=1e-4)
+        assert report.objective == pytest.approx(-1.5, abs=1e-4)
 
     def test_coo_and_bfgs_round_trip(self, rng):
         n = 4

@@ -278,3 +278,27 @@ def test_update_barrier_properties(mu, rnorm):
         assert terminate
     else:
         assert new_mu == pytest.approx(mu / cfg.mu_shrink)
+
+
+def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
+    """B and B' are built once per solve, not per IPM or PCG iteration."""
+    import scipy.sparse as sp
+    problem = QpProblem(
+        n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
+        a=SparseMatrix.from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+        lin_bounds=Bounds([-1.0, -2.0], [1.0, 2.0]),
+        c=SparseMatrix.from_dense([[1.0, 0.0, 1.0]]), b=[0.5],
+        var_bounds=Bounds.box([-5.0] * 3, [5.0] * 3))
+    original = sp.csr_matrix.transpose
+    counts = []
+
+    def counting(self, *args, **kwargs):
+        counts[-1] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
+    for max_iters in (2, 6):
+        counts.append(0)
+        report = solve(problem, IpmConfig(max_iters=max_iters))
+        assert report.iterations == max_iters
+    assert counts[0] == counts[1]

@@ -27,6 +27,20 @@ class TestSparseMatrix:
         with pytest.raises(DimensionError):
             SparseMatrix(2, 2, [0, 1], [0], [1.0])  # offsets too short
 
+    @pytest.mark.parametrize("offsets, cols, row", [
+        ([0, 1, 3], [0, 2, 1], 1),     # unsorted row
+        ([0, 2, 3], [1, 1, 0], 0),     # duplicate column within a row
+        ([0, 0, 2, 4], [1, 2, 2, 2], 2),  # 2, 2 across rows 1/2 is fine
+    ])
+    def test_columns_not_increasing_within_row_rejected(self, offsets, cols, row):
+        with pytest.raises(ValueError, match=f"strictly increasing in row {row}$"):
+            SparseMatrix(len(offsets) - 1, 3, offsets, cols, [1.0] * len(cols))
+
+    def test_column_decrease_across_rows_accepted(self):
+        m = SparseMatrix(4, 3, [0, 2, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(
+            m.to_dense(), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
+
     def test_empty(self):
         m = SparseMatrix.empty(0, 3)
         assert m.nnz == 0
