@@ -117,12 +117,16 @@ class SparseHessian:
 
 @dataclass(frozen=True)
 class DenseHessian:
-    """Explicit symmetric storage; used by the SVM frontend and test oracles."""
+    """Explicit C-contiguous storage; used by the SVM frontend and test oracles.
+
+    ``m`` must be symmetric (``validate_problem`` checks it): the product
+    reads one triangle with BLAS ``symv``.
+    """
 
     m: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=np.float64))
+        object.__setattr__(self, "m", np.ascontiguousarray(self.m, dtype=np.float64))
 
     @property
     def n(self):
@@ -169,7 +173,13 @@ def hessian_apply(h: Hessian, v: np.ndarray) -> np.ndarray:
     if isinstance(h, SparseHessian):
         return h.m.csr @ v
     if isinstance(h, DenseHessian):
-        return h.m @ v
+        # imported here: scipy.linalg adds ~8 MB of resident memory to
+        # processes that never build a dense Hessian
+        from scipy.linalg.blas import dsymv
+
+        # m.T is the Fortran-order view f2py passes without copying m;
+        # lower=1 reads its lower triangle, i.e. m's upper triangle
+        return dsymv(1.0, h.m.T, v, lower=1)
     return h.h0_diag * v + h.u @ (h.w * (h.u.T @ v))
 
 
@@ -308,7 +318,12 @@ def validate_problem(problem: QpProblem) -> list[str]:
     elif isinstance(problem.hessian, SparseHessian):
         _check_finite("hessian", problem.hessian.m.values, report)
     elif isinstance(problem.hessian, DenseHessian):
-        _check_finite("hessian", problem.hessian.m, report)
+        m = problem.hessian.m
+        _check_finite("hessian", m, report)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            report.append(f"hessian is not square: shape {m.shape}")
+        elif m.size and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
+            report.append("hessian is not symmetric")
     else:
         _check_finite("hessian.h0_diag", problem.hessian.h0_diag, report)
         _check_finite("hessian.u", problem.hessian.u, report)

@@ -4,13 +4,16 @@ bias recovery and prediction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Bounds, DenseHessian, QpProblem, SparseMatrix
+from .model import Bounds, DenseHessian, QpProblem, SparseMatrix, hessian_apply
 
 MAX_PRECOMPUTED_SAMPLES = 20000
+# Entries per row block of the in-place kernel build: small enough that a
+# block stays in cache across its elementwise passes.
+_KERNEL_BLOCK = 1 << 16
 
 
 class SvmParseError(ValueError):
@@ -58,11 +61,20 @@ class SparseVector:
         return out
 
 
+def _dense_rows(samples, n_features: int) -> np.ndarray:
+    x = np.zeros((len(samples), n_features))
+    for i, s in enumerate(samples):
+        x[i, s.indices] = s.values
+    return x
+
+
 @dataclass(frozen=True)
 class SvmDataset:
     samples: list[SparseVector]
     labels: np.ndarray
     n_features: int
+    # (sigma, H): the last signed kernel built, see _signed_kernel
+    _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
@@ -71,10 +83,7 @@ class SvmDataset:
         return len(self.samples)
 
     def dense_matrix(self) -> np.ndarray:
-        x = np.zeros((len(self.samples), self.n_features))
-        for i, s in enumerate(self.samples):
-            x[i, s.indices] = s.values
-        return x
+        return _dense_rows(self.samples, self.n_features)
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,25 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class SvmModel:
+    """Trained model. ``predict`` reads the support vectors' dense rows
+    ``sv_rows``, their squared norms ``sv_sq`` and ``sv_coef = alpha_i y_i``,
+    all derived from the other fields on construction."""
+
     alpha: np.ndarray
     bias: float
     support_indices: np.ndarray
     dataset: SvmDataset
     config: SvmConfig
+    sv_rows: np.ndarray = field(init=False, compare=False, repr=False)
+    sv_sq: np.ndarray = field(init=False, compare=False, repr=False)
+    sv_coef: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        data, sv = self.dataset, self.support_indices
+        rows = _dense_rows([data.samples[i] for i in sv], data.n_features)
+        object.__setattr__(self, "sv_rows", rows)
+        object.__setattr__(self, "sv_sq", (rows * rows).sum(axis=1))
+        object.__setattr__(self, "sv_coef", self.alpha[sv] * data.labels[sv])
 
 
 def parse_libsvm(text: str | bytes) -> SvmDataset:
@@ -143,30 +166,52 @@ def rbf_kernel(xi: SparseVector, xj: SparseVector, sigma: float) -> float:
     return math.exp(-max(d2, 0.0) / (2.0 * sigma))
 
 
-def _gram_matrix(data: SvmDataset, sigma: float) -> np.ndarray:
-    """Dense RBF Gram matrix, exactly symmetric."""
+def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:
+    """H = yy'∘K for the RBF kernel, read-only and exactly symmetric.
+
+    Built in the one n-by-n array that ``x @ x.T`` allocates and cached on
+    ``data`` for this sigma; another sigma replaces the cached entry.
+    """
+    if data._kernel is not None and data._kernel[0] == sigma:
+        return data._kernel[1]
+    object.__setattr__(data, "_kernel", None)  # free the old H before building
     x = data.dense_matrix()
+    y = data.labels
     sq = (x * x).sum(axis=1)
-    g = x @ x.T
-    g = 0.5 * (g + g.T)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0)
-    d2 = 0.5 * (d2 + d2.T)
-    return np.exp(-d2 / (2.0 * sigma))
+    h = x @ x.T  # numpy computes x x' as a symmetric rank-k update: exactly symmetric
+    n = len(h)
+    rows = max(1, _KERNEL_BLOCK // max(n, 1))
+    pair = np.empty((rows, n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        blk, t = h[lo:hi], pair[:hi - lo]
+        # (sq_i + sq_j) - 2 g_ij in this order keeps d2 exactly symmetric
+        np.add(sq[lo:hi, None], sq, out=t)
+        blk *= 2.0
+        np.subtract(t, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        blk /= -2.0 * sigma
+        np.exp(blk, out=blk)
+        blk *= y[lo:hi, None]
+        blk *= y
+    h.flags.writeable = False
+    object.__setattr__(data, "_kernel", (sigma, h))
+    return h
 
 
 def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
     """Dual QP: min 1/2 a'Ha - a'e  s.t.  a'y = 0,  0 <= a <= c,
-    with H_ij = y_i y_j K(x_i, x_j). The Gram matrix is precomputed dense."""
+    with H_ij = y_i y_j K(x_i, x_j). H is built once per (dataset, sigma)
+    and shared with ``extract_model`` and ``training_accuracy``."""
     n = len(data)
     if n > MAX_PRECOMPUTED_SAMPLES:
         raise ValueError(f"{n} samples exceed the dense-kernel cap {MAX_PRECOMPUTED_SAMPLES}")
     if not (np.any(data.labels > 0) and np.any(data.labels < 0)):
         raise ValueError("dataset needs at least one sample of each class")
     y = data.labels
-    h = np.outer(y, y) * _gram_matrix(data, cfg.sigma)
     return QpProblem(
         n=n,
-        hessian=DenseHessian(h),
+        hessian=DenseHessian(_signed_kernel(data, cfg.sigma)),
         p=-np.ones(n),
         a=SparseMatrix.empty(0, n),
         lin_bounds=Bounds.free(0),
@@ -177,12 +222,17 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
 
 
 def _decision_values(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> np.ndarray:
-    """g_j = sum_i alpha_i y_i K(x_i, x_j), without the bias."""
-    return _gram_matrix(data, cfg.sigma) @ (alpha * data.labels)
+    """g_j = sum_i alpha_i y_i K(x_i, x_j) = y_j (H alpha)_j (as y_j = ±1),
+    without the bias."""
+    h = DenseHessian(_signed_kernel(data, cfg.sigma))
+    return data.labels * hessian_apply(h, alpha)
 
 
 def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmModel:
-    """Recover the bias from free support vectors (or the KKT interval midpoint)."""
+    """Recover the bias from free support vectors (or the KKT interval midpoint).
+
+    The decision values reuse the dual Hessian H of ``build_svm_dual``; it is
+    built here only if ``data`` holds none for ``cfg.sigma``."""
     alpha = np.asarray(alpha, dtype=np.float64)
     tau = 1e-5 * cfg.c
     support = np.where(alpha > tau)[0]
@@ -206,12 +256,17 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
 
 
 def predict(model: SvmModel, x: SparseVector) -> tuple[float, int]:
-    """Decision value and label for one sample; ties go to +1."""
-    score = model.bias
-    y = model.dataset.labels
-    for i in model.support_indices:
-        score += model.alpha[i] * y[i] * rbf_kernel(
-            model.dataset.samples[i], x, model.config.sigma)
+    """Decision value and label for one sample; ties go to +1.
+
+    Features past the training ``n_features`` meet only zeros in the
+    support vectors, so they count in ||x||^2 alone."""
+    d = model.sv_rows.shape[1]
+    inside = x.indices < d
+    xd = np.zeros(d)
+    xd[x.indices[inside]] = x.values[inside]
+    d2 = (model.sv_sq + x.squared_norm()) - 2.0 * (model.sv_rows @ xd)
+    k = np.exp(np.maximum(d2, 0.0) / (-2.0 * model.config.sigma))
+    score = model.bias + float((model.sv_coef * k).sum())
     return score, (1 if score >= 0 else -1)
 
 

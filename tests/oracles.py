@@ -191,6 +191,9 @@ def random_hessian(rng, n, kind=None):
         dense = 0.5 * (dense + dense.T)
         np.fill_diagonal(dense, np.abs(np.diag(dense)) + 0.2)
         return SparseHessian(SparseMatrix.from_dense(dense))
+    if kind == "dense":
+        g = rng.standard_normal((n, n))
+        return DenseHessian(g @ g.T / n + 0.2 * np.eye(n))
     k = int(rng.integers(1, max(2, n // 2 + 1)))
     return QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
                               rng.standard_normal((n, k)),

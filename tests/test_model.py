@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_hessian, random_hessian, random_sparse
-from qpipm.model import (Bounds, DiagonalHessian, DimensionError, QpProblem,
+from qpipm.model import (Bounds, DenseHessian, DiagonalHessian,
+                         DimensionError, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix,
                          box_qp, hessian_apply, hessian_diagonal,
                          hessian_to_dense, validate_problem)
@@ -74,7 +77,7 @@ class TestHessianApply:
             hessian_apply(DiagonalHessian([1.0, 2.0]), [1.0])
 
     def test_symmetry_all_variants(self, rng):
-        for kind in ("diagonal", "sparse", "bfgs"):
+        for kind in ("diagonal", "sparse", "bfgs", "dense"):
             h = random_hessian(rng, 9, kind)
             for _ in range(20):
                 u = rng.standard_normal(9)
@@ -82,6 +85,35 @@ class TestHessianApply:
                 uhv = u @ hessian_apply(h, v)
                 vhu = v @ hessian_apply(h, u)
                 assert abs(uhv - vhu) <= 1e-12 * (1.0 + abs(uhv))
+
+
+    @pytest.mark.parametrize("layout", ["C", "F", "readonly"])
+    def test_dense_matches_matmul(self, rng, layout):
+        g = rng.standard_normal((30, 30))
+        m = g + g.T
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "readonly":
+            m.flags.writeable = False
+        h = DenseHessian(m)
+        for _ in range(5):
+            v = rng.standard_normal(30)
+            expected = m @ v
+            np.testing.assert_allclose(hessian_apply(h, v), expected,
+                                       rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_dense_product_does_not_copy_the_matrix(self, rng):
+        g = rng.standard_normal((1000, 1000))
+        h = DenseHessian(g + g.T)
+        v = rng.standard_normal(1000)
+        hessian_apply(h, v)  # warm up any one-time allocations
+        tracemalloc.start()
+        try:
+            hessian_apply(h, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the matrix itself is 8 MB
 
 
 class TestHessianDiagonal:
@@ -150,6 +182,14 @@ class TestValidateProblem:
     def test_fully_unconstrained_rejected(self):
         p = box_qp(DiagonalHessian([1.0]), [0.0], [-np.inf], [np.inf])
         assert any("well-posed" in v for v in validate_problem(p))
+
+    def test_asymmetric_dense_hessian_rejected(self):
+        p = box_qp(DenseHessian([[2.0, 1.0], [0.0, 2.0]]), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        assert validate_problem(p) == ["hessian is not symmetric"]
+
+    def test_symmetric_dense_hessian_accepted(self):
+        p = box_qp(DenseHessian([[2.0, 0.3], [0.3, 2.0]]), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        assert validate_problem(p) == []
 
     def test_psd_spot_check_random_hessians(self, rng):
         for kind in ("diagonal", "sparse", "bfgs"):

@@ -6,7 +6,7 @@ import pytest
 from qpipm.ipm import SolveStatus, solve
 from qpipm.model import DenseHessian, validate_problem
 from qpipm.svm import (DegenerateModelError, SparseVector, SvmConfig,
-                       SvmParseError, build_svm_dual, extract_model,
+                       SvmDataset, SvmParseError, build_svm_dual, extract_model,
                        parse_libsvm, predict, rbf_kernel, training_accuracy)
 
 
@@ -197,8 +197,60 @@ class TestTrainAndPredict:
         _, model = self.train(data, cfg)
         assert training_accuracy(model) == 1.0
 
+    def test_predict_matches_kernel_loop(self, rng):
+        lines = [f"{1 if i % 2 else -1:+d} 1:{rng.standard_normal():.5f} "
+                 f"3:{rng.standard_normal():.5f}" for i in range(14)]
+        data = parse_libsvm("\n".join(lines))
+        assert data.n_features == 3
+        cfg = SvmConfig(sigma=0.7, c=2.0)
+        _, model = self.train(data, cfg)
+        # index 5 lies past the training features: it counts in ||x||^2 only
+        samples = data.samples[:4] + [vec([(0, 0.3), (5, 1.0)]), vec([(1, -0.4)]), vec([])]
+        for x in samples:
+            expected = model.bias + sum(
+                model.alpha[i] * data.labels[i] * rbf_kernel(data.samples[i], x, cfg.sigma)
+                for i in model.support_indices)
+            score, label = predict(model, x)
+            assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert label == (1 if expected >= 0 else -1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SvmConfig(sigma=0.0, c=1.0)
         with pytest.raises(ValueError):
             SvmConfig(sigma=1.0, c=-1.0)
+
+
+class TestKernelReuse:
+    def dataset(self, rng):
+        return parse_libsvm("\n".join(
+            f"{1 if i % 2 else -1:+d} 1:{rng.standard_normal():.5f} "
+            f"2:{rng.standard_normal():.5f}" for i in range(12)))
+
+    def test_kernel_built_once_per_dataset_and_sigma(self, rng, monkeypatch):
+        builds = []
+        dense_matrix = SvmDataset.dense_matrix
+
+        def counting(self):
+            builds.append(len(self))
+            return dense_matrix(self)
+
+        monkeypatch.setattr(SvmDataset, "dense_matrix", counting)
+        data = self.dataset(rng)
+        cfg = SvmConfig(sigma=1.0, c=2.0)
+        report = solve(build_svm_dual(data, cfg))
+        training_accuracy(extract_model(data, cfg, report.x))
+        assert len(builds) == 1
+
+        other = SvmConfig(sigma=2.0, c=2.0)
+        h = build_svm_dual(data, other).hessian.m
+        assert len(builds) == 2
+        y = data.labels
+        assert h[0, 1] == pytest.approx(
+            y[0] * y[1] * rbf_kernel(data.samples[0], data.samples[1], 2.0), rel=1e-12)
+
+    def test_cached_kernel_is_read_only(self, rng):
+        h = build_svm_dual(self.dataset(rng), SvmConfig(sigma=1.0, c=1.0)).hessian.m
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
