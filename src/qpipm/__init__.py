@@ -1,12 +1,14 @@
 """Matrix-free interior point solver for convex quadratic programs.
 
 Newton directions come from the doubly augmented KKT system, solved with
-Jacobi-preconditioned conjugate gradients; includes an SVM dual frontend
-and a CLI with per-iteration diagnostics.
+preconditioned conjugate gradients: a quasi-Newton Hessian's low-rank part
+is kept whole in the preconditioner (Woodbury), every other Hessian uses
+Jacobi. Includes an SVM dual frontend and a CLI with per-iteration
+diagnostics.
 """
 
 from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, solve
-from .linalg import PcgConfig, PcgResult, dense_solve, pcg, spmv, spmv_transpose
+from .linalg import PcgConfig, PcgResult, dense_solve, pcg
 from .model import (Bounds, DenseHessian, DiagonalHessian, QpProblem,
                     QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp,
                     hessian_apply, hessian_diagonal, validate_problem)
@@ -16,7 +18,7 @@ __all__ = [
     "PcgResult", "QpProblem", "QuasiNewtonHessian", "SolveReport",
     "SolveStatus", "SparseHessian", "SparseMatrix", "TraceRecord", "box_qp",
     "dense_solve", "hessian_apply", "hessian_diagonal", "pcg", "solve",
-    "spmv", "spmv_transpose", "validate_problem",
+    "validate_problem",
 ]
 
 __version__ = "0.1.0"

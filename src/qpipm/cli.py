@@ -360,7 +360,7 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qpipm",
-                     description="Interior point QP solver (doubly augmented KKT + Jacobi-PCG)")
+                     description="Interior point QP solver (doubly augmented KKT + PCG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_qp = sub.add_parser("solve-qp", help="solve a QP problem file")

@@ -12,8 +12,10 @@ import numpy as np
 
 from .kkt import (BoundIndexMap, FullDirection, IterateState, KktOperator,
                   Residuals, apply_doubly_augmented, assemble_rhs,
-                  build_operator, compute_residuals, jacobi_diagonal,
+                  build_operator, compute_residuals, preconditioner,
                   recover_directions)
+# perfbench's layer trace wraps this name in ipm's namespace
+from .kkt import jacobi_diagonal  # noqa: F401
 from .linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
 from .model import QpProblem
 
@@ -57,6 +59,9 @@ class TraceRecord:
     cg_resid: float
     alpha_x: float
     alpha_lam: float
+    # False when PCG stopped at its cap or broke down; None when not recorded
+    # (the paper-format trace CSV has no column for it)
+    cg_converged: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -177,9 +182,8 @@ DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig], PcgResult]
 
 
 def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig) -> PcgResult:
-    inv_diag = 1.0 / jacobi_diagonal(op)
-    return pcg(lambda v: apply_doubly_augmented(op, v),
-               lambda v: inv_diag * v, rhs, cfg)
+    return pcg(lambda v: apply_doubly_augmented(op, v), preconditioner(op),
+               rhs, cfg)
 
 
 def solve(problem: QpProblem, cfg: IpmConfig | None = None,
@@ -220,10 +224,12 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
             iter=it, mu=state.mu, primal_inf=primal, dual_inf=dual,
             compl_inf=compl, cg_iters=cg.iterations,
             cg_resid=cg.final_residual_norm,
-            alpha_x=alpha_x, alpha_lam=alpha_lam))
+            alpha_x=alpha_x, alpha_lam=alpha_lam,
+            cg_converged=bool(cg.converged)))
         if verbose:
             print(f"iter {it:4d}  mu {state.mu:9.3e}  primal {primal:9.3e}  "
-                  f"dual {dual:9.3e}  compl {compl:9.3e}  cg {cg.iterations:5d}  "
+                  f"dual {dual:9.3e}  compl {compl:9.3e}  cg {cg.iterations:5d} "
+                  f"{'converged' if cg.converged else 'NOT converged'}  "
                   f"alpha ({alpha_x:.3f}, {alpha_lam:.3f})")
 
         new_mu, terminate = update_barrier(state.mu, res.norm(), cfg)

@@ -1,4 +1,4 @@
-"""Vector kernels: sparse products, preconditioned CG, dense pivoted solve."""
+"""Vector kernels: preconditioned CG and a dense pivoted solve."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import DimensionError, SparseMatrix
+from .model import DimensionError
 
 
 class PcgBreakdownError(RuntimeError):
@@ -47,22 +47,6 @@ class PcgResult:
     converged: bool
 
 
-def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """y = M x."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != m.n_cols:
-        raise DimensionError(f"vector length {len(x)} != n_cols {m.n_cols}")
-    return m.csr @ x
-
-
-def spmv_transpose(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """y = M' x."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != m.n_rows:
-        raise DimensionError(f"vector length {len(x)} != n_rows {m.n_rows}")
-    return m.csr.T @ x
-
-
 def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         apply_prec: Callable[[np.ndarray], np.ndarray],
         rhs: np.ndarray,
@@ -78,6 +62,9 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
     Returns the best iterate seen (by residual norm).
 
     Raises PcgBreakdownError when p'(Op p) <= 0 is encountered.
+
+    The vector updates run in place through one scratch buffer; they round
+    exactly as the out-of-place expressions in the comments.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     threshold = cfg.tol * (np.linalg.norm(rhs) if cfg.tol_is_relative else 1.0)
@@ -93,6 +80,7 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
     if rnorm <= threshold:
         return PcgResult(x, 0, rnorm, True)
 
+    tmp = np.empty_like(rhs)
     z = apply_prec(r)
     p = z.copy()
     rz = float(r @ z)
@@ -102,13 +90,14 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         if pap <= 0:
             raise PcgBreakdownError(PcgResult(best_x, k - 1, best_rnorm, False))
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * op_p
+        x += np.multiply(alpha, p, out=tmp)  # x += alpha * p
+        r -= np.multiply(alpha, op_p, out=tmp)  # r -= alpha * op_p
         rnorm = np.linalg.norm(r)
         if callback is not None:
             callback(k, x.copy(), rnorm)
         if rnorm < best_rnorm:
-            best_x, best_rnorm = x.copy(), rnorm
+            np.copyto(best_x, x)
+            best_rnorm = rnorm
         if rnorm <= threshold:
             true_r = rhs - apply_op(x)
             true_norm = np.linalg.norm(true_r)
@@ -118,16 +107,18 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
             r = true_r
             rnorm = true_norm
             if rnorm < best_rnorm:
-                best_x, best_rnorm = x.copy(), rnorm
+                np.copyto(best_x, x)
+                best_rnorm = rnorm
             z = apply_prec(r)
-            p = z.copy()
+            np.copyto(p, z)
             rz = float(r @ z)
             continue
         z = apply_prec(r)
         rz_next = float(r @ z)
         beta = rz_next / rz
         rz = rz_next
-        p = z + beta * p
+        p *= beta  # p = z + beta * p; the sum commutes exactly
+        p += z
 
     true_norm = np.linalg.norm(rhs - apply_op(best_x))
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)

@@ -7,8 +7,82 @@ calling the package's matrix-free paths, so the tests compare two routes.
 import numpy as np
 
 from qpipm.kkt import BoundIndexMap, FullDirection, IterateState
-from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseHessian, SparseMatrix)
+from qpipm.linalg import PcgBreakdownError, PcgResult
+from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
+                         QpProblem, QuasiNewtonHessian, SparseHessian,
+                         SparseMatrix)
+
+
+def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """y = M x."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) != m.n_cols:
+        raise DimensionError(f"vector length {len(x)} != n_cols {m.n_cols}")
+    return m.csr @ x
+
+
+def spmv_transpose(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """y = M' x."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) != m.n_rows:
+        raise DimensionError(f"vector length {len(x)} != n_rows {m.n_rows}")
+    return m.csr.T @ x
+
+
+def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> PcgResult:
+    """The out-of-place PCG loop that ``qpipm.linalg.pcg`` must reproduce bit for bit."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    threshold = cfg.tol * (np.linalg.norm(rhs) if cfg.tol_is_relative else 1.0)
+
+    if x0 is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = rhs - apply_op(x)
+    rnorm = np.linalg.norm(r)
+    best_x, best_rnorm = x.copy(), rnorm
+    if rnorm <= threshold:
+        return PcgResult(x, 0, rnorm, True)
+
+    z = apply_prec(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(1, cfg.max_iters + 1):
+        op_p = apply_op(p)
+        pap = float(p @ op_p)
+        if pap <= 0:
+            raise PcgBreakdownError(PcgResult(best_x, k - 1, best_rnorm, False))
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * op_p
+        rnorm = np.linalg.norm(r)
+        if callback is not None:
+            callback(k, x.copy(), rnorm)
+        if rnorm < best_rnorm:
+            best_x, best_rnorm = x.copy(), rnorm
+        if rnorm <= threshold:
+            true_r = rhs - apply_op(x)
+            true_norm = np.linalg.norm(true_r)
+            if true_norm <= threshold:
+                return PcgResult(x, k, true_norm, True)
+            # recurrence drifted: restart from the explicit residual
+            r = true_r
+            rnorm = true_norm
+            if rnorm < best_rnorm:
+                best_x, best_rnorm = x.copy(), rnorm
+            z = apply_prec(r)
+            p = z.copy()
+            rz = float(r @ z)
+            continue
+        z = apply_prec(r)
+        rz_next = float(r @ z)
+        beta = rz_next / rz
+        rz = rz_next
+        p = z + beta * p
+
+    true_norm = np.linalg.norm(rhs - apply_op(best_x))
+    return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)
 
 
 def dense_hessian(h) -> np.ndarray:

@@ -140,6 +140,15 @@ class TestTraceFile:
                            for k, v in r.__dict__.items()})
             for r in records]
 
+    def test_csv_has_no_cg_converged_column(self, tmp_path):
+        record = TraceRecord(iter=1, mu=1.0, primal_inf=0.5, dual_inf=1e-3,
+                             compl_inf=2e-7, cg_iters=12, cg_resid=3.21e-8,
+                             alpha_x=0.99, alpha_lam=1.0, cg_converged=True)
+        path = str(tmp_path / "trace.csv")
+        write_trace(path, [record])
+        assert open(path).read().splitlines()[1].count(",") == 8
+        assert read_trace(path)[0].cg_converged is None
+
     def test_header(self, tmp_path):
         path = str(tmp_path / "trace.csv")
         write_trace(path, [])

@@ -226,6 +226,18 @@ class TestSolve:
         assert [t.iter for t in rep.trace] == list(range(1, rep.iterations + 1))
         assert all(t.cg_iters <= cfg.pcg.max_iters for t in rep.trace)
 
+    def test_trace_records_cg_convergence(self, capsys):
+        rep = solve(equality_problem(), verbose=True)
+        assert rep.trace and all(t.cg_converged is True for t in rep.trace)
+        assert "NOT converged" not in capsys.readouterr().out
+
+    def test_trace_records_capped_cg(self, capsys):
+        cfg = IpmConfig(max_iters=3, pcg=PcgConfig(max_iters=1))
+        rep = solve(equality_problem(), cfg, verbose=True)
+        assert rep.trace[0].cg_iters == 1
+        assert rep.trace[0].cg_converged is False
+        assert "cg     1 NOT converged" in capsys.readouterr().out
+
     def test_centering_at_convergence(self):
         rep = solve(equality_problem())
         st_ = rep.state

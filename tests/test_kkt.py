@@ -1,14 +1,18 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import DenseParts, random_interior_state, random_problem
+from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
 from qpipm.kkt import (BoundIndexMap, IterateState, apply_doubly_augmented,
                        assemble_dense, assemble_dense_augmented, assemble_rhs,
                        build_operator, compute_residuals, jacobi_diagonal,
-                       recover_directions)
+                       preconditioner, recover_directions)
 from qpipm.linalg import dense_solve
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem, SparseMatrix,
-                         box_qp)
+from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
+                         SparseMatrix, box_qp, hessian_to_dense)
 
 
 def make_instances(rng, count, **kw):
@@ -317,3 +321,112 @@ class TestRecoverDirections:
             got = parts.direction_vector(d)
             np.testing.assert_allclose(
                 got, full, rtol=1e-8, atol=1e-8 * (1.0 + np.abs(full).max()))
+
+
+def _dense_preconditioner_matrix(problem, state):
+    """blockdiag(T + U diag(w) U', D) from the dense blocks, T taken entry by entry."""
+    parts = DenseParts(problem, state)
+    _, b, d, _, _ = parts.reduced_blocks()
+    h, st = problem.hessian, state
+    bound_terms = (parts.p_l.T @ np.diag(st.lam_lx / st.s_lx) @ parts.p_l
+                   + parts.p_u.T @ np.diag(st.lam_ux / st.s_ux) @ parts.p_u
+                   + 2.0 * b.T @ np.diag(1.0 / d) @ b)
+    t = h.h0_diag + np.diag(bound_terms)
+    m = np.zeros((problem.n + len(d),) * 2)
+    m[:problem.n, :problem.n] = np.diag(t) + h.u @ np.diag(h.w) @ h.u.T
+    m[problem.n:, problem.n:] = np.diag(d)
+    return m
+
+
+def _indefinite_weight_hessian(rng, n):
+    """H = h0 I + U diag(w) U' with one negative weight, h0 large enough for H > 0."""
+    u = rng.standard_normal((n, 3))
+    w = np.array([0.7, -0.4, 0.2])
+    h0 = 0.5 + 0.4 * float(u[:, 1] @ u[:, 1])
+    return QuasiNewtonHessian(np.full(n, h0), u, w)
+
+
+class TestPreconditioner:
+    def test_matches_dense_inverse_on_quasi_newton(self, rng):
+        for problem, state in make_instances(rng, 20, hessian_kind="bfgs"):
+            op = build_operator(problem, state)
+            m = _dense_preconditioner_matrix(problem, state)
+            for _ in range(3):
+                v = rng.standard_normal(op.dim)
+                np.testing.assert_allclose(preconditioner(op)(v),
+                                           np.linalg.solve(m, v),
+                                           rtol=1e-10, atol=1e-12)
+
+    def test_negative_weight_with_psd_hessian(self, rng):
+        for _ in range(5):
+            problem = replace(random_problem(rng, n=8),
+                              hessian=_indefinite_weight_hessian(rng, 8))
+            assert np.linalg.eigvalsh(hessian_to_dense(problem.hessian)).min() > 0
+            state = random_interior_state(rng, problem)
+            op = build_operator(problem, state)
+            m = _dense_preconditioner_matrix(problem, state)
+            v = rng.standard_normal(op.dim)
+            np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
+                                       rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "sparse", "dense", "bfgs_k0"])
+    def test_other_hessians_keep_jacobi_bitwise(self, rng, kind):
+        for _ in range(5):
+            problem = random_problem(rng, n=7, hessian_kind=kind)
+            if kind == "bfgs_k0":
+                problem = replace(problem, hessian=QuasiNewtonHessian(
+                    rng.uniform(0.5, 2.0, 7), np.zeros((7, 0)), np.zeros(0)))
+            op = build_operator(problem, random_interior_state(rng, problem))
+            v = rng.standard_normal(op.dim)
+            np.testing.assert_array_equal(preconditioner(op)(v),
+                                          (1.0 / jacobi_diagonal(op)) * v)
+
+    def test_nonpositive_t_falls_back_to_jacobi(self):
+        # h0 = 0 on a free variable: T_0 = 0, while diag(H)_0 = 1 > 0
+        problem = box_qp(QuasiNewtonHessian([0.0, 1.0], [[1.0], [1.0]], [1.0]),
+                         [1.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
+        op = build_operator(problem, initialize(problem, IpmConfig()))
+        v = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(preconditioner(op)(v),
+                                      (1.0 / jacobi_diagonal(op)) * v)
+        assert solve(problem).status is SolveStatus.CONVERGED
+
+    def test_singular_capacitance_falls_back_to_jacobi(self):
+        # H = diag(0, 1): the free variable's block T + UWU' is exactly 0
+        problem = box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
+                         [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
+        op = build_operator(problem, initialize(problem, IpmConfig()))
+        v = np.array([1.0, -2.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(preconditioner(op)(v),
+                                          (1.0 / jacobi_diagonal(op)) * v)
+
+    def test_box_only_quasi_newton_solves_take_at_most_two_cg_steps(self, rng):
+        n, k = 500, 5
+        hessian = QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
+                                     0.3 * rng.standard_normal((n, k)),
+                                     rng.uniform(0.1, 1.0, k))
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        boxed = rng.choice(n, n // 5, replace=False)
+        lo[boxed], hi[boxed] = -1.0, 1.0
+        report = solve(box_qp(hessian, rng.standard_normal(n), lo, hi))
+        assert report.status is SolveStatus.CONVERGED
+        assert max(t.cg_iters for t in report.trace) <= 2
+
+    def test_build_does_not_allocate_an_n_by_k_temporary(self):
+        n, k = 200_000, 20
+        rng = np.random.default_rng(7)
+        hessian = QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
+                                     0.1 * rng.standard_normal((n, k)),
+                                     rng.uniform(0.1, 1.0, k))
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        lo[:n // 10], hi[:n // 10] = -1.0, 1.0
+        problem = box_qp(hessian, np.zeros(n), lo, hi)
+        op = build_operator(problem, initialize(problem, IpmConfig()))
+        tracemalloc.start()
+        try:
+            preconditioner(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # U itself is 32 MB

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import random_sparse
+from oracles import random_sparse, spmv, spmv_transpose
 from qpipm.linalg import (PcgBreakdownError, PcgConfig, SingularMatrixError,
-                          dense_solve, pcg, spmv, spmv_transpose)
+                          dense_solve, pcg)
 from qpipm.model import DimensionError, SparseMatrix
 
 
