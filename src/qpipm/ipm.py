@@ -77,7 +77,7 @@ class SolveReport:
 
 def initialize(problem: QpProblem, cfg: IpmConfig,
                bmap: BoundIndexMap | None = None) -> IterateState:
-    """Starting point: box midpoints where available, unit slacks/multipliers."""
+    """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|)."""
     if bmap is None:
         bmap = BoundIndexMap.from_problem(problem)
     lo, hi = problem.var_bounds.lower, problem.var_bounds.upper
@@ -89,31 +89,15 @@ def initialize(problem: QpProblem, cfg: IpmConfig,
     x[only_lo] = lo[only_lo] + 1.0
     x[only_hi] = hi[only_hi] - 1.0
 
-    ax = problem.a.csr @ x
-
-    def slack(gap):
-        return np.maximum(1.0, np.abs(gap))
-
-    return IterateState(
-        x=x,
-        s_lA=slack(ax[bmap.lin_lower] - problem.lin_bounds.lower[bmap.lin_lower]),
-        s_uA=slack(problem.lin_bounds.upper[bmap.lin_upper] - ax[bmap.lin_upper]),
-        s_lx=slack(x[bmap.var_lower] - lo[bmap.var_lower]),
-        s_ux=slack(hi[bmap.var_upper] - x[bmap.var_upper]),
-        lam_e=np.zeros(problem.m_eq),
-        lam_lA=np.ones(bmap.m_lin_lower),
-        lam_uA=np.ones(bmap.m_lin_upper),
-        lam_lx=np.ones(len(bmap.var_lower)),
-        lam_ux=np.ones(len(bmap.var_upper)),
-        mu=cfg.mu_init,
-    )
+    gap = bmap.g(x, bmap.b @ x) - bmap.g0
+    return IterateState(x=x, lam_e=np.zeros(problem.m_eq),
+                        s=np.maximum(1.0, np.abs(gap)), lam=np.ones(len(gap)),
+                        mu=cfg.mu_init, splits=bmap.splits)
 
 
 def _ratio(values: np.ndarray, deltas: np.ndarray) -> float:
     neg = deltas < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-values[neg] / deltas[neg]))
+    return float(np.min(-values[neg] / deltas[neg], initial=np.inf))
 
 
 def step_lengths(state: IterateState, direction: FullDirection,
@@ -122,37 +106,19 @@ def step_lengths(state: IterateState, direction: FullDirection,
 
     lam_e is excluded: its sign is unrestricted.
     """
-    slack_ratio = min(
-        _ratio(state.s_lA, direction.ds_lA),
-        _ratio(state.s_uA, direction.ds_uA),
-        _ratio(state.s_lx, direction.ds_lx),
-        _ratio(state.s_ux, direction.ds_ux),
-    )
-    lam_ratio = min(
-        _ratio(state.lam_lA, direction.d_lam_lA),
-        _ratio(state.lam_uA, direction.d_lam_uA),
-        _ratio(state.lam_lx, direction.d_lam_lx),
-        _ratio(state.lam_ux, direction.d_lam_ux),
-    )
-    return min(1.0, gamma * slack_ratio), min(1.0, gamma * lam_ratio)
+    return (min(1.0, gamma * _ratio(state.s, direction.ds)),
+            min(1.0, gamma * _ratio(state.lam, direction.d_lam)))
 
 
 def apply_step(state: IterateState, direction: FullDirection,
                alpha_x: float, alpha_lam: float) -> IterateState:
     """Move x and slacks by alpha_x, all multipliers by alpha_lam."""
-    new = IterateState(
+    new = replace(
+        state,
         x=state.x + alpha_x * direction.dx,
-        s_lA=state.s_lA + alpha_x * direction.ds_lA,
-        s_uA=state.s_uA + alpha_x * direction.ds_uA,
-        s_lx=state.s_lx + alpha_x * direction.ds_lx,
-        s_ux=state.s_ux + alpha_x * direction.ds_ux,
         lam_e=state.lam_e + alpha_lam * direction.d_lam_e,
-        lam_lA=state.lam_lA + alpha_lam * direction.d_lam_lA,
-        lam_uA=state.lam_uA + alpha_lam * direction.d_lam_uA,
-        lam_lx=state.lam_lx + alpha_lam * direction.d_lam_lx,
-        lam_ux=state.lam_ux + alpha_lam * direction.d_lam_ux,
-        mu=state.mu,
-    )
+        s=state.s + alpha_x * direction.ds,
+        lam=state.lam + alpha_lam * direction.d_lam)
     if new.min_interior() <= 0.0:
         raise InteriorityError("step left the strict interior")
     return new
@@ -160,12 +126,8 @@ def apply_step(state: IterateState, direction: FullDirection,
 
 def infeasibilities(res: Residuals) -> tuple[float, float, float]:
     """Euclidean norms of the primal, dual and complementarity blocks."""
-    primal = float(np.linalg.norm(np.concatenate(
-        [res.r_lA, res.r_uA, res.r_lx, res.r_ux])))
-    dual = float(np.linalg.norm(res.r_H))
-    compl = float(np.linalg.norm(np.concatenate(
-        [res.r_c1, res.r_c2, res.r_c3, res.r_c4])))
-    return primal, dual, compl
+    return (float(np.linalg.norm(res.r_p)), float(np.linalg.norm(res.r_H)),
+            float(np.linalg.norm(res.r_c)))
 
 
 def update_barrier(mu: float, residual_norm: float,
@@ -210,11 +172,13 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
             cg = direction_solver(op, rhs, cfg.pcg)
         except PcgBreakdownError as exc:
             cg = exc.result
-        dx, d_lam_a = op.split(cg.solution)
-        if not np.all(np.isfinite(cg.solution)):
+        # a breakdown before the first CG step leaves the zero start, which
+        # cannot move the iterate
+        no_step = cg.iterations == 0 and not cg.converged
+        if no_step or not np.all(np.isfinite(cg.solution)):
             status = SolveStatus.LINEAR_SOLVER_FAILURE
             break
-        direction = recover_directions(op, dx, d_lam_a, res, state)
+        direction = recover_directions(op, *op.split(cg.solution), res, state)
 
         alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
         state = apply_step(state, direction, alpha_x, alpha_lam)

@@ -1,10 +1,13 @@
 """Residuals, the reduced 2x2 blocks, and the matrix-free doubly augmented operator.
 
-The Newton system is never formed. Each operator application uses one
-Hessian product, one product with B = (C; A_l; -A_u) and one with its
-transpose, where A_l and A_u are the rows of A with a finite lower / upper
-bound. Variable bounds enter only through diagonal terms. B, B' and diag(H)
-are built once per solve (``BoundIndexMap``); per iteration only D changes.
+Every inequality is g(x) - s = g0 with slack s > 0 and multiplier lam > 0,
+stacked in one order: A rows with a finite lower bound, A rows with a finite
+upper bound, lower-bounded variables, upper-bounded variables. The first
+m_rows entries are the inequality rows of B = (C; A_l; -A_u) and go into D;
+the rest are var_sign * x[var_idx] (+1 lower, -1 upper) and go into Q's
+diagonal. g0 = (l, -u, lx, -ux) on the finite entries. The Newton system is
+never formed: each operator application uses one product with H, B and B'.
+B, B' and diag(H) are built once per solve (``BoundIndexMap``).
 """
 
 from __future__ import annotations
@@ -15,23 +18,25 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (QpProblem, QuasiNewtonHessian, hessian_apply,
-                    hessian_diagonal, hessian_to_dense)
+from .model import QpProblem, QuasiNewtonHessian, hessian_apply, hessian_diagonal
 
 
 @dataclass(frozen=True)
 class BoundIndexMap:
     """What the KKT operator needs that is fixed for the whole solve.
 
-    Indices with a finite bound, per family (infinite bounds appear nowhere);
-    the CSR b = (C; A_l; -A_u), its CSR transpose bt, bt_sq = bt * bt
-    elementwise, and h_diag = diag(H). Built once per solve.
+    The stacked layout of the module docstring: splits are the ends of the
+    A-lower, A-upper and variable-lower blocks (splits[1] = m_rows); var_idx,
+    var_sign and g0 as there. b = (C; A_l; -A_u) in CSR, bt its CSR transpose,
+    bt_sq = bt * bt elementwise, h_diag = diag(H). The only code that knows
+    the four bound families.
     """
 
-    lin_lower: np.ndarray
-    lin_upper: np.ndarray
-    var_lower: np.ndarray
-    var_upper: np.ndarray
+    m_eq: int
+    splits: tuple[int, int, int]
+    var_idx: np.ndarray
+    var_sign: np.ndarray
+    g0: np.ndarray
     b: sp.csr_matrix
     bt: sp.csr_matrix
     bt_sq: sp.csr_matrix
@@ -39,81 +44,89 @@ class BoundIndexMap:
 
     @classmethod
     def from_problem(cls, problem: QpProblem) -> "BoundIndexMap":
-        lin_lower = np.where(np.isfinite(problem.lin_bounds.lower))[0]
-        lin_upper = np.where(np.isfinite(problem.lin_bounds.upper))[0]
+        lin, var = problem.lin_bounds, problem.var_bounds
+        lin_lower = np.where(np.isfinite(lin.lower))[0]
+        lin_upper = np.where(np.isfinite(lin.upper))[0]
+        var_lower = np.where(np.isfinite(var.lower))[0]
+        var_upper = np.where(np.isfinite(var.upper))[0]
         a = problem.a.csr
         b = sp.vstack([problem.c.csr, a[lin_lower], -a[lin_upper]], format="csr")
         bt = b.T.tocsr()
+        m_rows = len(lin_lower) + len(lin_upper)
         return cls(
-            lin_lower=lin_lower, lin_upper=lin_upper,
-            var_lower=np.where(np.isfinite(problem.var_bounds.lower))[0],
-            var_upper=np.where(np.isfinite(problem.var_bounds.upper))[0],
+            m_eq=problem.m_eq,
+            splits=(len(lin_lower), m_rows, m_rows + len(var_lower)),
+            var_idx=np.concatenate([var_lower, var_upper]),
+            var_sign=np.concatenate([np.ones(len(var_lower)),
+                                     -np.ones(len(var_upper))]),
+            g0=np.concatenate([lin.lower[lin_lower], -lin.upper[lin_upper],
+                               var.lower[var_lower], -var.upper[var_upper]]),
             b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr(),
             h_diag=hessian_diagonal(problem.hessian),
         )
 
-    def split_rows(self, w: np.ndarray):
-        """The (C, A_l, A_u) parts of a vector indexed by the rows of b."""
-        m_l = self.m_lin_lower
-        m_e = self.b.shape[0] - m_l - self.m_lin_upper
-        return w[:m_e], w[m_e:m_e + m_l], w[m_e + m_l:]
-
     @property
-    def m_lin_lower(self):
-        return len(self.lin_lower)
+    def m_rows(self) -> int:
+        return self.splits[1]
 
-    @property
-    def m_lin_upper(self):
-        return len(self.lin_upper)
+    def g(self, x: np.ndarray, bx: np.ndarray) -> np.ndarray:
+        """The stacked inequality values g(x), given bx = b @ x."""
+        return np.concatenate([bx[self.m_eq:], self.var_sign * x[self.var_idx]])
+
+    def scatter_var(self, w: np.ndarray) -> np.ndarray:
+        """w summed into an n-vector at var_idx. With P x = var_sign * x[var_idx],
+        P'v = scatter_var(var_sign * v) and P' diag(w) P = diag(scatter_var(w))."""
+        # astype: bincount gives integer zeros when there are no variable bounds
+        n = self.b.shape[1]
+        return np.bincount(self.var_idx, w, minlength=n).astype(np.float64, copy=False)
+
+
+def _multiplier_view(family: int) -> property:
+    def view(state: "IterateState") -> np.ndarray:
+        out = np.split(state.lam, state.splits)[family]
+        out.flags.writeable = False
+        return out
+    return property(view)
 
 
 @dataclass
 class IterateState:
-    """Primal point, slacks, multipliers and barrier parameter.
+    """Primal point, multipliers, slacks and barrier parameter.
 
-    Slacks and inequality multipliers are strictly positive throughout; the
-    equality multiplier lam_e is sign-unrestricted.
+    s and lam are stacked as in the module docstring and stay strictly
+    positive; splits as in ``BoundIndexMap``. lam_e is sign-unrestricted.
+    lam_lA, lam_uA, lam_lx and lam_ux are read-only views of lam per family.
     """
 
     x: np.ndarray
-    s_lA: np.ndarray
-    s_uA: np.ndarray
-    s_lx: np.ndarray
-    s_ux: np.ndarray
     lam_e: np.ndarray
-    lam_lA: np.ndarray
-    lam_uA: np.ndarray
-    lam_lx: np.ndarray
-    lam_ux: np.ndarray
+    s: np.ndarray
+    lam: np.ndarray
     mu: float
+    splits: tuple[int, int, int]
+
+    lam_lA = _multiplier_view(0)
+    lam_uA = _multiplier_view(1)
+    lam_lx = _multiplier_view(2)
+    lam_ux = _multiplier_view(3)
 
     def min_interior(self) -> float:
         """Smallest slack or inequality-multiplier entry (inf if none exist)."""
-        parts = [self.s_lA, self.s_uA, self.s_lx, self.s_ux,
-                 self.lam_lA, self.lam_uA, self.lam_lx, self.lam_ux]
-        mins = [v.min() for v in parts if len(v)]
-        return min(mins) if mins else np.inf
+        return min(self.s.min(initial=np.inf), self.lam.min(initial=np.inf))
 
 
 @dataclass(frozen=True)
 class Residuals:
-    """The ten residual blocks of the perturbed optimality conditions."""
+    """Residual blocks: stationarity r_H, equality r_e, and stacked
+    r_p = g(x) - s - g0 and r_c = lam * s - mu."""
 
     r_H: np.ndarray
     r_e: np.ndarray
-    r_lA: np.ndarray
-    r_uA: np.ndarray
-    r_lx: np.ndarray
-    r_ux: np.ndarray
-    r_c1: np.ndarray
-    r_c2: np.ndarray
-    r_c3: np.ndarray
-    r_c4: np.ndarray
+    r_p: np.ndarray
+    r_c: np.ndarray
 
     def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.r_H, self.r_e, self.r_lA, self.r_uA,
-                               self.r_lx, self.r_ux, self.r_c1, self.r_c2,
-                               self.r_c3, self.r_c4])
+        return np.concatenate([self.r_H, self.r_e, self.r_p, self.r_c])
 
     def norm(self) -> float:
         """2-norm of the full Newton right-hand side."""
@@ -124,14 +137,8 @@ class Residuals:
 class FullDirection:
     dx: np.ndarray
     d_lam_e: np.ndarray
-    d_lam_lA: np.ndarray
-    d_lam_uA: np.ndarray
-    d_lam_lx: np.ndarray
-    d_lam_ux: np.ndarray
-    ds_lA: np.ndarray
-    ds_uA: np.ndarray
-    ds_lx: np.ndarray
-    ds_ux: np.ndarray
+    ds: np.ndarray
+    d_lam: np.ndarray
 
 
 def compute_residuals(problem: QpProblem, state: IterateState,
@@ -139,27 +146,13 @@ def compute_residuals(problem: QpProblem, state: IterateState,
     """Residual blocks of the perturbed optimality conditions at the iterate."""
     if bmap is None:
         bmap = BoundIndexMap.from_problem(problem)
-    x, mu = state.x, state.mu
-    cx, a_l_x, neg_a_u_x = bmap.split_rows(bmap.b @ x)
-
+    x, mu, m = state.x, state.mu, bmap.m_rows
+    bx = bmap.b @ x
     r_H = hessian_apply(problem.hessian, x) + problem.p \
-        - bmap.bt @ np.concatenate([state.lam_e, state.lam_lA, state.lam_uA])
-    r_H[bmap.var_lower] -= state.lam_lx
-    r_H[bmap.var_upper] += state.lam_ux
-
-    r_e = cx - problem.b + mu * state.lam_e
-    r_lA = a_l_x - state.s_lA - problem.lin_bounds.lower[bmap.lin_lower]
-    r_uA = problem.lin_bounds.upper[bmap.lin_upper] + neg_a_u_x - state.s_uA
-    r_lx = x[bmap.var_lower] - state.s_lx - problem.var_bounds.lower[bmap.var_lower]
-    r_ux = problem.var_bounds.upper[bmap.var_upper] - x[bmap.var_upper] - state.s_ux
-
-    res = Residuals(
-        r_H=r_H, r_e=r_e, r_lA=r_lA, r_uA=r_uA, r_lx=r_lx, r_ux=r_ux,
-        r_c1=state.lam_lA * state.s_lA - mu,
-        r_c2=state.lam_uA * state.s_uA - mu,
-        r_c3=state.lam_lx * state.s_lx - mu,
-        r_c4=state.lam_ux * state.s_ux - mu,
-    )
+        - bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
+    r_H -= bmap.scatter_var(bmap.var_sign * state.lam[m:])
+    res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b + mu * state.lam_e,
+                    r_p=bmap.g(x, bx) - state.s - bmap.g0, r_c=state.lam * state.s - mu)
     if not np.all(np.isfinite(res.concatenated())):
         raise FloatingPointError("non-finite residual encountered")
     return res
@@ -208,16 +201,11 @@ def build_operator(problem: QpProblem, state: IterateState,
     """Assemble the diagonal data of the doubly augmented operator; no matrices formed."""
     if bmap is None:
         bmap = BoundIndexMap.from_problem(problem)
-    q_extra = np.zeros(problem.n)
-    np.add.at(q_extra, bmap.var_lower, state.lam_lx / state.s_lx)
-    np.add.at(q_extra, bmap.var_upper, state.lam_ux / state.s_ux)
-    d_diag = np.concatenate([
-        np.full(problem.m_eq, state.mu),
-        state.s_lA / state.lam_lA,
-        state.s_uA / state.lam_uA,
-    ])
-    return KktOperator(problem=problem, bmap=bmap, q_diag_extra=q_extra,
-                       d_diag=d_diag)
+    m = bmap.m_rows
+    return KktOperator(
+        problem=problem, bmap=bmap,
+        q_diag_extra=bmap.scatter_var(state.lam[m:] / state.s[m:]),
+        d_diag=np.concatenate([np.full(bmap.m_eq, state.mu), state.s[:m] / state.lam[:m]]))
 
 
 def apply_doubly_augmented(op: KktOperator, v: np.ndarray) -> np.ndarray:
@@ -309,16 +297,11 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray,
 
 def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.ndarray:
     """Right-hand side (r1 + 2 B' D^{-1} r2, r2) of the doubly augmented system."""
-    r1 = -res.r_H.copy()
-    r1[op.bmap.var_lower] += -res.r_c3 / state.s_lx \
-        - (state.lam_lx / state.s_lx) * res.r_lx
-    r1[op.bmap.var_upper] += res.r_c4 / state.s_ux \
-        + (state.lam_ux / state.s_ux) * res.r_ux
-    r2 = np.concatenate([
-        -res.r_e,
-        -res.r_lA - res.r_c1 / state.lam_lA,
-        -res.r_uA - res.r_c2 / state.lam_uA,
-    ])
+    bmap, m = op.bmap, op.bmap.m_rows
+    lam, s = state.lam, state.s
+    r1 = -res.r_H - bmap.scatter_var(
+        bmap.var_sign * (res.r_c[m:] / s[m:] + (lam[m:] / s[m:]) * res.r_p[m:]))
+    r2 = np.concatenate([-res.r_e, -res.r_p[:m] - res.r_c[:m] / lam[:m]])
     rhs = np.concatenate([r1 + op.apply_bt(2.0 * r2 / op.d_diag), r2])
     if not np.all(np.isfinite(rhs)):
         raise FloatingPointError("non-finite right-hand side")
@@ -327,56 +310,21 @@ def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.nda
 
 def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
                        res: Residuals, state: IterateState) -> FullDirection:
-    """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system."""
-    d_lam_e, d_lam_lA, d_lam_uA = op.bmap.split_rows(d_lam_a)
+    """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system.
 
-    ds_lA = -(res.r_c1 + state.s_lA * d_lam_lA) / state.lam_lA
-    ds_uA = -(res.r_c2 + state.s_uA * d_lam_uA) / state.lam_uA
-    ds_lx = dx[op.bmap.var_lower] + res.r_lx
-    ds_ux = res.r_ux - dx[op.bmap.var_upper]
-    d_lam_lx = -(res.r_c3 + state.lam_lx * ds_lx) / state.s_lx
-    d_lam_ux = -(res.r_c4 + state.lam_ux * ds_ux) / state.s_ux
-
-    direction = FullDirection(
-        dx=dx, d_lam_e=d_lam_e, d_lam_lA=d_lam_lA, d_lam_uA=d_lam_uA,
-        d_lam_lx=d_lam_lx, d_lam_ux=d_lam_ux,
-        ds_lA=ds_lA, ds_uA=ds_uA, ds_lx=ds_lx, ds_ux=ds_ux,
-    )
+    Rows of B take ds from complementarity; variable bounds take ds from the
+    primal block and then d_lam from complementarity.
+    """
+    bmap, m = op.bmap, op.bmap.m_rows
+    lam, s = state.lam, state.s
+    d_lam_rows = d_lam_a[bmap.m_eq:]
+    ds_rows = -(res.r_c[:m] + s[:m] * d_lam_rows) / lam[:m]
+    ds_var = bmap.var_sign * dx[bmap.var_idx] + res.r_p[m:]
+    d_lam_var = -(res.r_c[m:] + lam[m:] * ds_var) / s[m:]
+    direction = FullDirection(dx=dx, d_lam_e=d_lam_a[:bmap.m_eq],
+                              ds=np.concatenate([ds_rows, ds_var]),
+                              d_lam=np.concatenate([d_lam_rows, d_lam_var]))
     for block in direction.__dict__.values():
         if not np.all(np.isfinite(block)):
             raise FloatingPointError("non-finite direction component")
     return direction
-
-
-DENSE_ORACLE_CAP = 2000
-
-
-def assemble_dense(op: KktOperator, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
-    """Dense materialization of the doubly augmented system (test oracle only)."""
-    q, b, d = _dense_blocks(op, cap)
-    k = np.zeros((op.dim, op.dim))
-    n = op.n
-    k[:n, :n] = q + 2.0 * b.T @ (b / d[:, None])
-    k[:n, n:] = b.T
-    k[n:, :n] = b
-    k[n:, n:] = np.diag(d)
-    return k
-
-
-def assemble_dense_augmented(op: KktOperator, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
-    """Dense materialization of the unsymmetric reduced system [[Q, -B'], [B, D]]."""
-    q, b, d = _dense_blocks(op, cap)
-    k = np.zeros((op.dim, op.dim))
-    n = op.n
-    k[:n, :n] = q
-    k[:n, n:] = -b.T
-    k[n:, :n] = b
-    k[n:, n:] = np.diag(d)
-    return k
-
-
-def _dense_blocks(op: KktOperator, cap: int):
-    if op.dim > cap:
-        raise ValueError(f"dense oracle cap exceeded: dimension {op.dim} > {cap}")
-    q = hessian_to_dense(op.problem.hessian) + np.diag(op.q_diag_extra)
-    return q, op.bmap.b.toarray(), op.d_diag

@@ -61,7 +61,7 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
     and the iteration restarts if drift pushed it back above the threshold.
     Returns the best iterate seen (by residual norm).
 
-    Raises PcgBreakdownError when p'(Op p) <= 0 is encountered.
+    Raises PcgBreakdownError when p'(Op p) <= 0 or NaN is encountered.
 
     The vector updates run in place through one scratch buffer; they round
     exactly as the out-of-place expressions in the comments.
@@ -87,7 +87,7 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
     for k in range(1, cfg.max_iters + 1):
         op_p = apply_op(p)
         pap = float(p @ op_p)
-        if pap <= 0:
+        if not pap > 0:  # also catches NaN from a non-finite preconditioner
             raise PcgBreakdownError(PcgResult(best_x, k - 1, best_rnorm, False))
         alpha = rz / pap
         x += np.multiply(alpha, p, out=tmp)  # x += alpha * p

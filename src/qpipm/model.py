@@ -193,17 +193,6 @@ def hessian_diagonal(h: Hessian) -> np.ndarray:
     return h.h0_diag + (h.w * h.u ** 2).sum(axis=1)
 
 
-def hessian_to_dense(h: Hessian) -> np.ndarray:
-    """Dense materialization; test oracles and small-scale paths only."""
-    if isinstance(h, DiagonalHessian):
-        return np.diag(h.d)
-    if isinstance(h, SparseHessian):
-        return h.m.to_dense()
-    if isinstance(h, DenseHessian):
-        return h.m.copy()
-    return np.diag(h.h0_diag) + (h.u * h.w) @ h.u.T
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Two-sided extended-real bounds; -inf/+inf mark unbounded sides."""

@@ -4,9 +4,11 @@ Everything here is deliberately coded from the dense block formulas, not by
 calling the package's matrix-free paths, so the tests compare two routes.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from qpipm.kkt import BoundIndexMap, FullDirection, IterateState
+from qpipm.kkt import BoundIndexMap, FullDirection, IterateState, KktOperator
 from qpipm.linalg import PcgBreakdownError, PcgResult
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
                          QpProblem, QuasiNewtonHessian, SparseHessian,
@@ -100,6 +102,51 @@ def dense_hessian(h) -> np.ndarray:
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
 
 
+def hessian_to_dense(h) -> np.ndarray:
+    """Dense materialization of any Hessian variant."""
+    if isinstance(h, DiagonalHessian):
+        return np.diag(h.d)
+    if isinstance(h, SparseHessian):
+        return h.m.to_dense()
+    if isinstance(h, DenseHessian):
+        return h.m.copy()
+    return np.diag(h.h0_diag) + (h.u * h.w) @ h.u.T
+
+
+DENSE_ORACLE_CAP = 2000
+
+
+def assemble_dense(op: KktOperator, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
+    """Dense materialization of the doubly augmented system."""
+    q, b, d = _dense_blocks(op, cap)
+    k = np.zeros((op.dim, op.dim))
+    n = op.n
+    k[:n, :n] = q + 2.0 * b.T @ (b / d[:, None])
+    k[:n, n:] = b.T
+    k[n:, :n] = b
+    k[n:, n:] = np.diag(d)
+    return k
+
+
+def assemble_dense_augmented(op: KktOperator, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
+    """Dense materialization of the unsymmetric reduced system [[Q, -B'], [B, D]]."""
+    q, b, d = _dense_blocks(op, cap)
+    k = np.zeros((op.dim, op.dim))
+    n = op.n
+    k[:n, :n] = q
+    k[:n, n:] = -b.T
+    k[n:, :n] = b
+    k[n:, n:] = np.diag(d)
+    return k
+
+
+def _dense_blocks(op: KktOperator, cap: int):
+    if op.dim > cap:
+        raise ValueError(f"dense oracle cap exceeded: dimension {op.dim} > {cap}")
+    q = hessian_to_dense(op.problem.hessian) + np.diag(op.q_diag_extra)
+    return q, op.bmap.b.toarray(), op.d_diag
+
+
 def selection(indices, n) -> np.ndarray:
     """Rows of the identity picked out by the index list."""
     p = np.zeros((len(indices), n))
@@ -107,12 +154,46 @@ def selection(indices, n) -> np.ndarray:
     return p
 
 
+FAMILIES = ("lA", "uA", "lx", "ux")
+
+
+def make_state(x, mu, lam_e=(), **families) -> IterateState:
+    """An IterateState from per-family blocks s_lA, lam_lA, ..., s_ux, lam_ux.
+
+    Absent families are empty.
+    """
+    s, lam = ([np.asarray(families.get(f"{name}_{fam}", ()), dtype=float)
+               for fam in FAMILIES] for name in ("s", "lam"))
+    ends = np.cumsum([len(v) for v in s])
+    return IterateState(x=np.asarray(x, dtype=float),
+                        lam_e=np.asarray(lam_e, dtype=float),
+                        s=np.concatenate(s), lam=np.concatenate(lam), mu=mu,
+                        splits=tuple(int(e) for e in ends[:3]))
+
+
+def families(state: IterateState, ends=None) -> SimpleNamespace:
+    """x, lam_e, mu and the per-family blocks s_lA, ..., lam_ux of a state.
+
+    ends: where the lA, uA and lx blocks end (default: state.splits).
+    """
+    ends = list(state.splits if ends is None else ends)
+    out = SimpleNamespace(x=state.x, lam_e=state.lam_e, mu=state.mu)
+    for name in ("s", "lam"):
+        for fam, block in zip(FAMILIES, np.split(getattr(state, name), ends)):
+            setattr(out, f"{name}_{fam}", block)
+    return out
+
+
 class DenseParts:
     """All dense matrices of one (problem, state) pair, built block by block."""
 
     def __init__(self, problem: QpProblem, state: IterateState):
-        bmap = BoundIndexMap.from_problem(problem)
-        self.problem, self.state, self.bmap = problem, state, bmap
+        lin, var = problem.lin_bounds, problem.var_bounds
+        lin_lower, lin_upper, var_lower, var_upper = (
+            np.where(np.isfinite(v))[0]
+            for v in (lin.lower, lin.upper, var.lower, var.upper))
+        self.ends = np.cumsum([len(lin_lower), len(lin_upper), len(var_lower)])
+        self.problem, self.state = problem, families(state, self.ends)
         self.n = problem.n
         self.h = dense_hessian(problem.hessian)
         a_dense = np.zeros((problem.m_lin, self.n))
@@ -123,15 +204,15 @@ class DenseParts:
         for i in range(problem.c.n_rows):
             for k in range(problem.c.row_offsets[i], problem.c.row_offsets[i + 1]):
                 c_dense[i, problem.c.col_indices[k]] = problem.c.values[k]
-        self.a_l = a_dense[bmap.lin_lower]
-        self.a_u = a_dense[bmap.lin_upper]
+        self.a_l = a_dense[lin_lower]
+        self.a_u = a_dense[lin_upper]
         self.c = c_dense
-        self.p_l = selection(bmap.var_lower, self.n)
-        self.p_u = selection(bmap.var_upper, self.n)
-        self.l_a = problem.lin_bounds.lower[bmap.lin_lower]
-        self.u_a = problem.lin_bounds.upper[bmap.lin_upper]
-        self.l_x = problem.var_bounds.lower[bmap.var_lower]
-        self.u_x = problem.var_bounds.upper[bmap.var_upper]
+        self.p_l = selection(var_lower, self.n)
+        self.p_u = selection(var_upper, self.n)
+        self.l_a = lin.lower[lin_lower]
+        self.u_a = lin.upper[lin_upper]
+        self.l_x = var.lower[var_lower]
+        self.u_x = var.upper[var_upper]
         self.sizes = (self.n, len(self.l_a), len(self.u_a),
                       len(self.l_x), len(self.u_x), problem.m_eq)
 
@@ -242,9 +323,8 @@ class DenseParts:
 
     def direction_vector(self, d: FullDirection) -> np.ndarray:
         """Flatten a FullDirection into the full-system unknown ordering."""
-        return np.concatenate([d.dx, d.d_lam_lA, d.d_lam_uA, d.d_lam_lx,
-                               d.d_lam_ux, d.d_lam_e, d.ds_lA, d.ds_uA,
-                               d.ds_lx, d.ds_ux])
+        return np.concatenate([d.dx, *np.split(d.d_lam, self.ends), d.d_lam_e,
+                               *np.split(d.ds, self.ends)])
 
 
 def random_sparse(rng, m, n, density=0.5) -> SparseMatrix:
@@ -319,16 +399,9 @@ def random_problem(rng, n=None, m_a=None, m_e=None, hessian_kind=None) -> QpProb
 
 def random_interior_state(rng, problem: QpProblem) -> IterateState:
     bmap = BoundIndexMap.from_problem(problem)
-    return IterateState(
-        x=rng.standard_normal(problem.n),
-        s_lA=rng.uniform(0.3, 2.0, bmap.m_lin_lower),
-        s_uA=rng.uniform(0.3, 2.0, bmap.m_lin_upper),
-        s_lx=rng.uniform(0.3, 2.0, len(bmap.var_lower)),
-        s_ux=rng.uniform(0.3, 2.0, len(bmap.var_upper)),
-        lam_e=rng.standard_normal(problem.m_eq),
-        lam_lA=rng.uniform(0.3, 2.0, bmap.m_lin_lower),
-        lam_uA=rng.uniform(0.3, 2.0, bmap.m_lin_upper),
-        lam_lx=rng.uniform(0.3, 2.0, len(bmap.var_lower)),
-        lam_ux=rng.uniform(0.3, 2.0, len(bmap.var_upper)),
-        mu=float(rng.uniform(0.05, 1.0)),
-    )
+    sizes = dict(zip(FAMILIES, np.diff([0, *bmap.splits, len(bmap.g0)])))
+    x = rng.standard_normal(problem.n)
+    s = {f"s_{f}": rng.uniform(0.3, 2.0, sizes[f]) for f in FAMILIES}
+    lam_e = rng.standard_normal(problem.m_eq)
+    lam = {f"lam_{f}": rng.uniform(0.3, 2.0, sizes[f]) for f in FAMILIES}
+    return make_state(x, float(rng.uniform(0.05, 1.0)), lam_e, **s, **lam)

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import hessian_to_dense
 from qpipm.cli import (TRACE_HEADER, QpFileError, build_parser, load_qp_file,
                        main, parse_qp_document, qp_document, read_trace,
                        write_trace)
 from qpipm.ipm import SolveStatus, TraceRecord, solve
 from qpipm.model import (DiagonalHessian, QuasiNewtonHessian, SparseHessian,
-                         box_qp, hessian_to_dense)
+                         box_qp)
 
 
 def box_qp_doc():
@@ -193,6 +194,17 @@ class TestSolveQpCommand:
 
     def test_iteration_limit_exit_code(self, qp_path):
         assert main(["solve-qp", qp_path, "--max-iter", "1"]) == 2
+
+    def test_linear_solver_failure_exit_code(self, tmp_path):
+        # H = diag(0, 1): the Jacobi preconditioner is non-finite
+        doc = {"n": 2, "p": [0.0, 1.0], "lx": [None, -1.0], "ux": [None, 1.0],
+               "hessian": {"kind": "bfgs", "h0_diag": [1.0, 1.0],
+                           "u": [[1.0], [0.0]], "w": [-1.0]}}
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["solve-qp", str(path), "--max-iter", "3", "--cg-maxit", "50"])
+        assert code == 3
 
 
 class TestSolveSvmCommand:

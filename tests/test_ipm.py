@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DenseParts, random_interior_state, random_problem
+from oracles import (assemble_dense, families, make_state,
+                     random_interior_state, random_problem)
 from qpipm.ipm import (InteriorityError, IpmConfig, SolveStatus, apply_step,
                        infeasibilities, initialize, solve, step_lengths,
                        update_barrier)
-from qpipm.kkt import (FullDirection, IterateState, compute_residuals,
+from qpipm.kkt import (FullDirection, Residuals, compute_residuals,
                        recover_directions, build_operator)
 from qpipm.linalg import PcgConfig, PcgResult, dense_solve
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem, SparseMatrix,
-                         box_qp)
+from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
+                         QuasiNewtonHessian, SparseMatrix, box_qp)
 
 
 def equality_problem():
@@ -25,7 +26,6 @@ def equality_problem():
 
 def direction_from_dense_oracle(op, rhs, pcg_cfg):
     """Test hook: replace PCG by a dense factorization of the assembled system."""
-    from qpipm.kkt import assemble_dense
     sol = dense_solve(assemble_dense(op), rhs)
     resid = float(np.linalg.norm(rhs - assemble_dense(op) @ sol))
     return PcgResult(sol, 0, resid, True)
@@ -36,15 +36,15 @@ class TestInitialize:
         p = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [2.0])
         st0 = initialize(p, IpmConfig())
         assert st0.x[0] == 1.0
-        np.testing.assert_array_equal(st0.s_lx, [1.0])
-        np.testing.assert_array_equal(st0.s_ux, [1.0])
+        np.testing.assert_array_equal(families(st0).s_lx, [1.0])
+        np.testing.assert_array_equal(families(st0).s_ux, [1.0])
 
     def test_lower_bound_only(self):
         p = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
         st0 = initialize(p, IpmConfig())
         assert st0.x[0] == 2.0
-        np.testing.assert_array_equal(st0.s_lx, [1.0])
-        assert len(st0.s_ux) == 0
+        np.testing.assert_array_equal(families(st0).s_lx, [1.0])
+        assert len(families(st0).s_ux) == 0
 
     def test_free_variable(self):
         p = equality_problem()
@@ -53,7 +53,7 @@ class TestInitialize:
                            var_bounds=Bounds.free(2))
         st0 = initialize(p_free, IpmConfig())
         np.testing.assert_array_equal(st0.x, [0.0, 0.0])
-        assert len(st0.s_lx) == 0 and len(st0.s_ux) == 0
+        assert len(st0.s) == 0 and len(st0.lam) == 0
 
     def test_unit_multipliers_and_mu(self):
         p = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [2.0])
@@ -70,43 +70,33 @@ class TestInitialize:
 
 
 def _direction_with(state, **blocks):
-    zero = {f: np.zeros_like(getattr(state, f)) for f in
-            ("s_lA", "s_uA", "s_lx", "s_ux", "lam_lA", "lam_uA",
-             "lam_lx", "lam_ux")}
     d = FullDirection(
         dx=np.zeros_like(state.x), d_lam_e=np.zeros_like(state.lam_e),
-        d_lam_lA=zero["lam_lA"], d_lam_uA=zero["lam_uA"],
-        d_lam_lx=zero["lam_lx"], d_lam_ux=zero["lam_ux"],
-        ds_lA=zero["s_lA"], ds_uA=zero["s_uA"], ds_lx=zero["s_lx"],
-        ds_ux=zero["s_ux"])
+        ds=np.zeros_like(state.s), d_lam=np.zeros_like(state.lam))
     return FullDirection(**{**d.__dict__, **blocks})
 
 
 def _state_with_slacks(s, lam):
-    return IterateState(
-        x=np.zeros(1), s_lA=np.zeros(0), s_uA=np.zeros(0),
-        s_lx=np.asarray(s, dtype=float), s_ux=np.zeros(0), lam_e=np.zeros(0),
-        lam_lA=np.zeros(0), lam_uA=np.zeros(0),
-        lam_lx=np.asarray(lam, dtype=float), lam_ux=np.zeros(0), mu=1.0)
+    return make_state(np.zeros(1), 1.0, s_lx=s, lam_lx=lam)
 
 
 class TestStepLengths:
     def test_ratio_test_example(self):
         state = _state_with_slacks([1.0, 4.0], [1.0, 1.0])
-        d = _direction_with(state, ds_lx=np.array([-2.0, -1.0]))
+        d = _direction_with(state, ds=np.array([-2.0, -1.0]))
         ax, al = step_lengths(state, d, 0.99)
         assert ax == pytest.approx(0.495)
         assert al == 1.0
 
     def test_nonnegative_deltas_give_unit_step(self):
         state = _state_with_slacks([1.0], [1.0])
-        d = _direction_with(state, ds_lx=np.array([2.0]))
+        d = _direction_with(state, ds=np.array([2.0]))
         ax, al = step_lengths(state, d, 0.99)
         assert ax == 1.0 and al == 1.0
 
     def test_multiplier_ratio(self):
         state = _state_with_slacks([1.0], [1.0])
-        d = _direction_with(state, d_lam_lx=np.array([-1.0]))
+        d = _direction_with(state, d_lam=np.array([-1.0]))
         ax, al = step_lengths(state, d, 0.99)
         assert ax == 1.0
         assert al == pytest.approx(0.99)
@@ -124,19 +114,19 @@ class TestApplyStep:
         state = _state_with_slacks([1.0], [2.0])
         d = _direction_with(state)
         new = apply_step(state, d, 1.0, 1.0)
-        np.testing.assert_array_equal(new.s_lx, state.s_lx)
-        np.testing.assert_array_equal(new.lam_lx, state.lam_lx)
+        np.testing.assert_array_equal(new.s, state.s)
+        np.testing.assert_array_equal(new.lam, state.lam)
 
     def test_near_boundary_stays_interior(self):
         state = _state_with_slacks([1.0], [1.0])
-        d = _direction_with(state, ds_lx=np.array([-1.0]))
+        d = _direction_with(state, ds=np.array([-1.0]))
         new = apply_step(state, d, 0.99, 0.0)
-        assert new.s_lx[0] == pytest.approx(0.01)
-        assert new.s_lx[0] > 0.0
+        assert new.s[0] == pytest.approx(0.01)
+        assert new.s[0] > 0.0
 
     def test_interiority_violation_raises(self):
         state = _state_with_slacks([1.0], [1.0])
-        d = _direction_with(state, ds_lx=np.array([-2.0]))
+        d = _direction_with(state, ds=np.array([-2.0]))
         with pytest.raises(InteriorityError):
             apply_step(state, d, 1.0, 0.0)
 
@@ -155,11 +145,8 @@ class TestApplyStep:
 
 class TestInfeasibilities:
     def _res(self, **kw):
-        blocks = {k: np.zeros(0) for k in
-                  ("r_H", "r_e", "r_lA", "r_uA", "r_lx", "r_ux",
-                   "r_c1", "r_c2", "r_c3", "r_c4")}
+        blocks = {k: np.zeros(0) for k in ("r_H", "r_e", "r_p", "r_c")}
         blocks.update({k: np.asarray(v, dtype=float) for k, v in kw.items()})
-        from qpipm.kkt import Residuals
         return Residuals(**blocks)
 
     def test_all_zero(self):
@@ -169,7 +156,7 @@ class TestInfeasibilities:
         assert infeasibilities(self._res(r_H=[3.0, 4.0]))[1] == 5.0
 
     def test_compl_norm(self):
-        _, _, compl = infeasibilities(self._res(r_c1=[1.0], r_c3=[2.0, 2.0]))
+        _, _, compl = infeasibilities(self._res(r_c=[1.0, 2.0, 2.0]))
         assert compl == 3.0
 
 
@@ -241,7 +228,7 @@ class TestSolve:
     def test_centering_at_convergence(self):
         rep = solve(equality_problem())
         st_ = rep.state
-        pairs = np.concatenate([st_.lam_lx * st_.s_lx, st_.lam_ux * st_.s_ux])
+        pairs = st_.lam * st_.s
         assert np.all(pairs <= 10.0 * st_.mu)
         assert np.all(pairs >= st_.mu / 10.0)
 
@@ -258,6 +245,34 @@ class TestSolve:
             assert k > 0
             # trajectories agree while both runs are on the same mu schedule
             np.testing.assert_allclose(rep_cg.x, rep_dense.x, atol=1e-4)
+
+    def test_nan_preconditioner_is_a_solver_failure(self):
+        # H = diag(0, 1): the free variable's Jacobi entry is 0, so the
+        # preconditioned residual is non-finite from the first CG step
+        p = box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
+                   [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
+        cfg = IpmConfig(max_iters=3, pcg=PcgConfig(max_iters=50))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = solve(p, cfg)
+        assert rep.status is SolveStatus.LINEAR_SOLVER_FAILURE
+        assert rep.iterations == 0
+
+    def test_report_keeps_per_family_multiplier_views(self):
+        p = QpProblem(
+            n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
+            a=SparseMatrix.from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+            lin_bounds=Bounds([-1.0, -np.inf], [1.0, 2.0]),
+            c=SparseMatrix.empty(0, 3), b=[],
+            var_bounds=Bounds([-5.0, 0.0, -np.inf], [5.0, np.inf, np.inf]))
+        st_ = solve(p).state
+        views = {"lam_lA": 1, "lam_uA": 2, "lam_lx": 2, "lam_ux": 1}
+        for name, length in views.items():
+            view = getattr(st_, name)
+            assert len(view) == length, name
+            assert np.shares_memory(view, st_.lam), name
+            assert not view.flags.writeable, name
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(st_, name) for name in views]), st_.lam)
 
     def test_iteration_limit_status(self):
         cfg = IpmConfig(max_iters=2)

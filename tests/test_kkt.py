@@ -4,15 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import DenseParts, random_interior_state, random_problem
+from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
+                     hessian_to_dense, make_state, random_interior_state,
+                     random_problem)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
-from qpipm.kkt import (BoundIndexMap, IterateState, apply_doubly_augmented,
-                       assemble_dense, assemble_dense_augmented, assemble_rhs,
+from qpipm.kkt import (BoundIndexMap, apply_doubly_augmented, assemble_rhs,
                        build_operator, compute_residuals, jacobi_diagonal,
                        preconditioner, recover_directions)
 from qpipm.linalg import dense_solve
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                         SparseMatrix, box_qp, hessian_to_dense)
+                         SparseMatrix, box_qp)
 
 
 def make_instances(rng, count, **kw):
@@ -32,11 +33,7 @@ def scalar_instance():
         lin_bounds=Bounds([0.0], [np.inf]),
         c=SparseMatrix.empty(0, 1), b=[],
         var_bounds=Bounds.free(1))
-    state = IterateState(
-        x=np.array([0.5]), s_lA=np.array([1.0]), s_uA=np.zeros(0),
-        s_lx=np.zeros(0), s_ux=np.zeros(0), lam_e=np.zeros(0),
-        lam_lA=np.array([1.0]), lam_uA=np.zeros(0), lam_lx=np.zeros(0),
-        lam_ux=np.zeros(0), mu=0.1)
+    state = make_state([0.5], 0.1, s_lA=[1.0], lam_lA=[1.0])
     return problem, state
 
 
@@ -49,10 +46,16 @@ class TestBoundIndexMap:
             c=SparseMatrix.empty(0, 3), b=[],
             var_bounds=Bounds([0.0, -np.inf, 1.0], [np.inf, np.inf, 2.0]))
         bmap = BoundIndexMap.from_problem(problem)
-        np.testing.assert_array_equal(bmap.lin_lower, [0])
-        np.testing.assert_array_equal(bmap.lin_upper, [1])
-        np.testing.assert_array_equal(bmap.var_lower, [0, 2])
-        np.testing.assert_array_equal(bmap.var_upper, [2])
+        # A lower row 0 | A upper row 1 | x0 >= 0, x2 >= 1 | x2 <= 2
+        assert bmap.m_eq == 0
+        assert bmap.splits == (1, 2, 4)
+        assert bmap.m_rows == 2
+        np.testing.assert_array_equal(bmap.var_idx, [0, 2, 2])
+        np.testing.assert_array_equal(bmap.var_sign, [1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(bmap.g0, [0.0, -2.0, 0.0, 1.0, -2.0])
+        np.testing.assert_array_equal(bmap.b.toarray(), [[1, 0, 0], [0, -1, 0]])
+        x = np.array([3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(bmap.g(x, bmap.b @ x), [3.0, -5.0, 3.0, 7.0, -7.0])
 
 
 class TestComputeResiduals:
@@ -63,28 +66,25 @@ class TestComputeResiduals:
         # solve x(x-1) = mu for x > 1
         x = 0.5 * (1 + np.sqrt(1 + 4 * mu))
         problem = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
-        state = IterateState(
-            x=np.array([x]), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.array([x - 1.0]), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.array([x]),
-            lam_ux=np.zeros(0), mu=mu)
+        state = make_state([x], mu, s_lx=[x - 1.0], lam_lx=[x])
         res = compute_residuals(problem, state)
         assert res.norm() < 1e-12
 
     def test_complementarity_pair(self):
         problem = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [np.inf])
-        state = IterateState(
-            x=np.array([3.0]), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.array([3.0]), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.array([2.0]),
-            lam_ux=np.zeros(0), mu=6.0)
+        state = make_state([3.0], 6.0, s_lx=[3.0], lam_lx=[2.0])
         res = compute_residuals(problem, state)
-        assert res.r_c3[0] == 0.0
+        assert res.r_c[0] == 0.0
 
     def test_matches_dense_transcription(self, rng):
         for problem, state in make_instances(rng, 8, n=5):
             res = compute_residuals(problem, state)
-            oracle = DenseParts(problem, state).residual_blocks()
+            blocks = DenseParts(problem, state).residual_blocks()
+            oracle = {
+                "r_H": blocks["r_H"], "r_e": blocks["r_e"],
+                "r_p": np.concatenate([blocks[k] for k in ("r_lA", "r_uA", "r_lx", "r_ux")]),
+                "r_c": np.concatenate([blocks[f"r_c{i}"] for i in range(1, 5)]),
+            }
             for name, block in oracle.items():
                 np.testing.assert_allclose(getattr(res, name), block,
                                            rtol=1e-12, atol=1e-12,
@@ -99,22 +99,15 @@ class TestBuildOperator:
             lin_bounds=Bounds([0.0], [5.0]),
             c=SparseMatrix.from_dense([[1.0]]), b=[0.0],
             var_bounds=Bounds.free(1))
-        state = IterateState(
-            x=np.array([1.0]), s_lA=np.array([2.0]), s_uA=np.array([1.0]),
-            s_lx=np.zeros(0), s_ux=np.zeros(0), lam_e=np.array([0.0]),
-            lam_lA=np.array([4.0]), lam_uA=np.array([0.5]), lam_lx=np.zeros(0),
-            lam_ux=np.zeros(0), mu=0.1)
+        state = make_state([1.0], 0.1, lam_e=[0.0], s_lA=[2.0], s_uA=[1.0],
+                           lam_lA=[4.0], lam_uA=[0.5])
         op = build_operator(problem, state)
         np.testing.assert_allclose(op.d_diag, [0.1, 0.5, 2.0])
 
     def test_q_diag_extra_single_lower_bound(self):
         problem = box_qp(DiagonalHessian([1.0, 1.0]), [0.0, 0.0],
                          [0.0, -np.inf], [np.inf, np.inf])
-        state = IterateState(
-            x=np.zeros(2), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.array([1.0]), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.array([3.0]),
-            lam_ux=np.zeros(0), mu=0.5)
+        state = make_state(np.zeros(2), 0.5, s_lx=[1.0], lam_lx=[3.0])
         op = build_operator(problem, state)
         np.testing.assert_allclose(op.q_diag_extra, [3.0, 0.0])
 
@@ -130,11 +123,7 @@ class TestApplyDoublyAugmented:
         problem = box_qp(DiagonalHessian([1.0, 1.0]), [0.0, 0.0],
                          [-np.inf, -np.inf], [np.inf, np.inf])
         # no finite bounds: operator is exactly the Hessian block
-        state = IterateState(
-            x=np.zeros(2), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.zeros(0), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.zeros(0),
-            lam_ux=np.zeros(0), mu=0.5)
+        state = make_state(np.zeros(2), 0.5)
         op = build_operator(problem, state)
         u = rng.standard_normal(2)
         np.testing.assert_allclose(apply_doubly_augmented(op, u), u)
@@ -183,11 +172,7 @@ class TestJacobiDiagonal:
     def test_no_constraints(self):
         problem = box_qp(DiagonalHessian([2.0, 5.0]), [0.0, 0.0],
                          [-np.inf] * 2, [np.inf] * 2)
-        state = IterateState(
-            x=np.zeros(2), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.zeros(0), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.zeros(0),
-            lam_ux=np.zeros(0), mu=0.5)
+        state = make_state(np.zeros(2), 0.5)
         op = build_operator(problem, state)
         np.testing.assert_allclose(jacobi_diagonal(op), [2.0, 5.0])
 
@@ -222,11 +207,7 @@ class TestAssembleRhs:
 
     def test_unconstrained_is_negated_stationarity(self):
         problem = box_qp(DiagonalHessian([1.0]), [1.0], [-np.inf], [np.inf])
-        state = IterateState(
-            x=np.zeros(1), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.zeros(0), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.zeros(0),
-            lam_ux=np.zeros(0), mu=0.5)
+        state = make_state(np.zeros(1), 0.5)
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)  # r_H = p = (1)
         np.testing.assert_allclose(assemble_rhs(op, res, state), [-1.0])
@@ -281,11 +262,7 @@ class TestRecoverDirections:
 
     def test_single_lower_var_bound_full_residual(self):
         problem = box_qp(DiagonalHessian([2.0]), [-1.0], [0.5], [np.inf])
-        state = IterateState(
-            x=np.array([1.5]), s_lA=np.zeros(0), s_uA=np.zeros(0),
-            s_lx=np.array([0.7]), s_ux=np.zeros(0), lam_e=np.zeros(0),
-            lam_lA=np.zeros(0), lam_uA=np.zeros(0), lam_lx=np.array([0.4]),
-            lam_ux=np.zeros(0), mu=0.2)
+        state = make_state([1.5], 0.2, s_lx=[0.7], lam_lx=[0.4])
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         parts = DenseParts(problem, state)
@@ -327,7 +304,7 @@ def _dense_preconditioner_matrix(problem, state):
     """blockdiag(T + U diag(w) U', D) from the dense blocks, T taken entry by entry."""
     parts = DenseParts(problem, state)
     _, b, d, _, _ = parts.reduced_blocks()
-    h, st = problem.hessian, state
+    h, st = problem.hessian, parts.state
     bound_terms = (parts.p_l.T @ np.diag(st.lam_lx / st.s_lx) @ parts.p_l
                    + parts.p_u.T @ np.diag(st.lam_ux / st.s_ux) @ parts.p_u
                    + 2.0 * b.T @ np.diag(1.0 / d) @ b)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_hessian, random_hessian, random_sparse
+from oracles import (dense_hessian, hessian_to_dense, random_hessian,
+                     random_sparse)
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian,
                          DimensionError, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix,
                          box_qp, hessian_apply, hessian_diagonal,
-                         hessian_to_dense, validate_problem)
+                         validate_problem)
 
 
 class TestSparseMatrix:
