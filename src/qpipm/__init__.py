@@ -8,7 +8,7 @@ diagnostics.
 """
 
 from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, solve
-from .linalg import PcgConfig, PcgResult, dense_solve, pcg
+from .linalg import PcgConfig, PcgResult, pcg
 from .model import (Bounds, DenseHessian, DiagonalHessian, QpProblem,
                     QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp,
                     hessian_apply, hessian_diagonal, validate_problem)
@@ -17,8 +17,7 @@ __all__ = [
     "Bounds", "DenseHessian", "DiagonalHessian", "IpmConfig", "PcgConfig",
     "PcgResult", "QpProblem", "QuasiNewtonHessian", "SolveReport",
     "SolveStatus", "SparseHessian", "SparseMatrix", "TraceRecord", "box_qp",
-    "dense_solve", "hessian_apply", "hessian_diagonal", "pcg", "solve",
-    "validate_problem",
+    "hessian_apply", "hessian_diagonal", "pcg", "solve", "validate_problem",
 ]
 
 __version__ = "0.1.0"

@@ -173,37 +173,20 @@ def load_qp_file(path: str) -> QpProblem:
     return parse_qp_document(doc)
 
 
-def _bounds_to_json(bounds: Bounds):
-    lo = [None if not np.isfinite(v) else v for v in bounds.lower]
-    hi = [None if not np.isfinite(v) else v for v in bounds.upper]
-    return lo, hi
-
-
-def _coo_to_json(m: SparseMatrix):
-    coo = m.csr.tocoo()
-    return {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
-            "vals": coo.data.tolist()}
+def _finite_or_null(values) -> list:
+    return [v if np.isfinite(v) else None for v in values]
 
 
 def qp_document(problem: QpProblem) -> dict:
-    """Serialize a problem back to the QP file dialect (round-trip safe)."""
-    h = problem.hessian
-    if isinstance(h, DiagonalHessian):
-        hdoc = {"kind": "diagonal", "d": h.d.tolist()}
-    elif isinstance(h, SparseHessian):
-        hdoc = {"kind": "coo", **_coo_to_json(h.m)}
-    elif isinstance(h, QuasiNewtonHessian):
-        hdoc = {"kind": "bfgs", "h0_diag": h.h0_diag.tolist(),
-                "u": [row.tolist() for row in h.u], "w": h.w.tolist()}
-    else:
-        raise QpFileError("dense Hessians have no file representation")
-    l, u = _bounds_to_json(problem.lin_bounds)
-    lx, ux = _bounds_to_json(problem.var_bounds)
+    """Serialize a problem back to the QP file dialect (round-trip safe);
+    a Hessian without a file representation (dense) raises ValueError."""
+    lin, var = problem.lin_bounds, problem.var_bounds
     return {
-        "n": problem.n, "hessian": hdoc, "p": problem.p.tolist(),
-        "A": _coo_to_json(problem.a), "l": l, "u": u,
-        "C": _coo_to_json(problem.c), "b": problem.b.tolist(),
-        "lx": lx, "ux": ux,
+        "n": problem.n, "hessian": problem.hessian.to_json(), "p": problem.p.tolist(),
+        "A": problem.a.to_json(), "l": _finite_or_null(lin.lower),
+        "u": _finite_or_null(lin.upper), "C": problem.c.to_json(),
+        "b": problem.b.tolist(), "lx": _finite_or_null(var.lower),
+        "ux": _finite_or_null(var.upper),
     }
 
 

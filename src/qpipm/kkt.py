@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .model import QpProblem, QuasiNewtonHessian, hessian_apply, hessian_diagonal
+from .model import QpProblem, hessian_apply, hessian_diagonal
 
 
 @dataclass(frozen=True)
@@ -244,23 +244,23 @@ _GRAM_BLOCK_ENTRIES = 1 << 15
 def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     """v -> M^{-1} v for PCG on the doubly augmented system.
 
-    For a quasi-Newton Hessian H = H0 + U diag(w) U' with k >= 1,
-    M = blockdiag(T + U diag(w) U', D) with T = H0 + q_diag_extra
-    + diag(2B'D^{-1}B): the Jacobi top block with the low-rank part kept
-    whole, so with B empty the top block is Q itself. Every other Hessian,
-    k = 0, a T with an entry <= 0 (Woodbury divides by T) and a singular
-    capacitance matrix get Jacobi: M = diag(jacobi_diagonal(op)).
+    With (d, U, w) = ``hessian.low_rank()`` and k >= 1,
+    M = blockdiag(T + U diag(w) U', D), T = d + q_diag_extra + diag(2B'D^{-1}B):
+    the Jacobi top block with the low-rank part kept whole. k = 0, a T with
+    an entry <= 0 (Woodbury divides by T) and a singular capacitance matrix
+    get Jacobi, M = diag(jacobi_diagonal(op)) with entries <= 0 or NaN set to 1.
     """
-    h = op.problem.hessian
-    if isinstance(h, QuasiNewtonHessian) and len(h.w):
-        # T directly: jacobi_diagonal - sum_j w_j u_j^2 would cancel
-        t = _top_diagonal(op, h.h0_diag)
+    d, u, w = op.problem.hessian.low_rank()
+    if len(w):
+        # T from d directly: jacobi_diagonal - sum_j w_j u_j^2 would cancel
+        t = _top_diagonal(op, d)
         if np.all(t > 0):
             try:
-                return _woodbury_inverse(h.u, h.w, t, op.d_diag)
+                return _woodbury_inverse(u, w, t, op.d_diag)
             except np.linalg.LinAlgError:
                 pass  # then T + UWU' is singular too
-    inv_diag = 1.0 / jacobi_diagonal(op)
+    diag = jacobi_diagonal(op)
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
     return lambda v: inv_diag * v
 
 

@@ -1,4 +1,4 @@
-"""Vector kernels: preconditioned CG and a dense pivoted solve."""
+"""Preconditioned conjugate gradients."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .model import DimensionError
 
 
 class PcgBreakdownError(RuntimeError):
@@ -20,10 +18,6 @@ class PcgBreakdownError(RuntimeError):
     def __init__(self, result: "PcgResult"):
         super().__init__("PCG breakdown: operator is not positive definite")
         self.result = result
-
-
-class SingularMatrixError(RuntimeError):
-    """Pivot magnitude below the singularity threshold in dense_solve."""
 
 
 @dataclass(frozen=True)
@@ -122,39 +116,3 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
 
     true_norm = np.linalg.norm(rhs - apply_op(best_x))
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)
-
-
-def dense_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting.
-
-    Signals singularity when a pivot magnitude falls below 1e-14 * max|m|.
-    Intended as the small-scale reference oracle, not a production path.
-    """
-    a = np.array(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("matrix must be square")
-    n = a.shape[0]
-    x = np.array(rhs, dtype=np.float64)
-    if len(x) != n:
-        raise DimensionError("right-hand side length mismatch")
-    if n == 0:
-        return x
-    max_abs = np.abs(a).max()
-    if max_abs == 0.0:
-        raise SingularMatrixError("zero matrix")
-    pivot_tol = 1e-14 * max_abs
-
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) < pivot_tol:
-            raise SingularMatrixError(f"pivot {a[piv, k]:.3e} below threshold at column {k}")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
-        x[k + 1:] -= factors * x[k]
-
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x

@@ -1,10 +1,18 @@
-"""Problem representation: sparse matrices, Hessian variants, bounds, QP instances."""
+"""Problem representation: sparse matrices, Hessian variants, bounds, QP instances.
+
+Every Hessian class implements the only members the solver reads (no code
+outside the classes looks at a Hessian's type): ``n``; ``apply(v)``, the
+product H v; ``low_rank()``, ``(d, U, w)`` with H = R + U diag(w) U' and
+d = diag(R), where k = 0 and d = diag(H) except for ``QuasiNewtonHessian``
+(d = h0_diag); ``validate()``, a list of violations (empty when valid); and
+``to_json()``, the ``hessian`` member of the QP file format.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,12 +72,6 @@ class SparseMatrix:
         return cls(n_rows, n_cols, m.indptr, m.indices, m.data)
 
     @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
-
-    @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "SparseMatrix":
         return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
                    np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -79,17 +81,20 @@ class SparseMatrix:
         return sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
                              shape=(self.n_rows, self.n_cols))
 
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
+    def to_json(self) -> dict:
+        """The coordinate-list object of the QP file format."""
+        coo = self.csr.tocoo()
+        return {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
+                "vals": coo.data.tolist()}
 
-    def to_dense(self) -> np.ndarray:
-        """Dense materialization by direct scatter (independent of scipy)."""
-        out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            out[i, self.col_indices[lo:hi]] = self.values[lo:hi]
-        return out
+
+def _nan_report(name: str, arr) -> list[str]:
+    return [f"non-finite data (NaN) in {name}"] if np.any(np.isnan(arr)) else []
+
+
+def _no_update(d: np.ndarray):
+    """low_rank() of a Hessian without a low-rank term: (d, n-by-0 U, no weights)."""
+    return d, np.zeros((len(d), 0)), np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,18 @@ class DiagonalHessian:
     def n(self):
         return len(self.d)
 
+    def apply(self, v):
+        return self.d * v
+
+    def low_rank(self):
+        return _no_update(self.d)
+
+    def validate(self):
+        return _nan_report("hessian", self.d)
+
+    def to_json(self):
+        return {"kind": "diagonal", "d": self.d.tolist()}
+
 
 @dataclass(frozen=True)
 class SparseHessian:
@@ -113,6 +130,18 @@ class SparseHessian:
     @property
     def n(self):
         return self.m.n_rows
+
+    def apply(self, v):
+        return self.m.csr @ v
+
+    def low_rank(self):
+        return _no_update(np.asarray(self.m.csr.diagonal()))
+
+    def validate(self):
+        return _nan_report("hessian", self.m.values)
+
+    def to_json(self):
+        return {"kind": "coo", **self.m.to_json()}
 
 
 @dataclass(frozen=True)
@@ -131,6 +160,30 @@ class DenseHessian:
     @property
     def n(self):
         return self.m.shape[0]
+
+    def apply(self, v):
+        # imported here: scipy.linalg adds ~8 MB of resident memory to
+        # processes that never build a dense Hessian
+        from scipy.linalg.blas import dsymv
+
+        # m.T is the Fortran-order view f2py passes without copying m;
+        # lower=1 reads its lower triangle, i.e. m's upper triangle
+        return dsymv(1.0, self.m.T, v, lower=1)
+
+    def low_rank(self):
+        return _no_update(np.diag(self.m))
+
+    def validate(self):
+        m = self.m
+        report = _nan_report("hessian", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            report.append(f"hessian is not square: shape {m.shape}")
+        elif m.size and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
+            report.append("hessian is not symmetric")
+        return report
+
+    def to_json(self):
+        raise ValueError("dense Hessians have no file representation")
 
 
 @dataclass(frozen=True)
@@ -159,38 +212,44 @@ class QuasiNewtonHessian:
     def n(self):
         return len(self.h0_diag)
 
+    def apply(self, v):
+        return self.h0_diag * v + self.u @ (self.w * (self.u.T @ v))
 
-Hessian = Union[DiagonalHessian, SparseHessian, DenseHessian, QuasiNewtonHessian]
+    def low_rank(self):
+        return self.h0_diag, self.u, self.w
+
+    def validate(self):
+        return (_nan_report("hessian.h0_diag", self.h0_diag)
+                + _nan_report("hessian.u", self.u) + _nan_report("hessian.w", self.w))
+
+    def to_json(self):
+        return {"kind": "bfgs", "h0_diag": self.h0_diag.tolist(),
+                "u": self.u.tolist(), "w": self.w.tolist()}
+
+
+class Hessian(Protocol):
+    """The members listed in the module docstring."""
+
+    n: int
+
+    def apply(self, v: np.ndarray) -> np.ndarray: ...
+    def low_rank(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def validate(self) -> list[str]: ...
+    def to_json(self) -> dict: ...
 
 
 def hessian_apply(h: Hessian, v: np.ndarray) -> np.ndarray:
-    """Compute H v without forming H for the structured variants."""
+    """H v, checked against the Hessian's dimension."""
     v = np.asarray(v, dtype=np.float64)
     if len(v) != h.n:
         raise DimensionError(f"vector length {len(v)} != Hessian dimension {h.n}")
-    if isinstance(h, DiagonalHessian):
-        return h.d * v
-    if isinstance(h, SparseHessian):
-        return h.m.csr @ v
-    if isinstance(h, DenseHessian):
-        # imported here: scipy.linalg adds ~8 MB of resident memory to
-        # processes that never build a dense Hessian
-        from scipy.linalg.blas import dsymv
-
-        # m.T is the Fortran-order view f2py passes without copying m;
-        # lower=1 reads its lower triangle, i.e. m's upper triangle
-        return dsymv(1.0, h.m.T, v, lower=1)
-    return h.h0_diag * v + h.u @ (h.w * (h.u.T @ v))
+    return h.apply(v)
 
 
 def hessian_diagonal(h: Hessian) -> np.ndarray:
-    if isinstance(h, DiagonalHessian):
-        return h.d.copy()
-    if isinstance(h, SparseHessian):
-        return np.asarray(h.m.csr.diagonal())
-    if isinstance(h, DenseHessian):
-        return np.diag(h.m).copy()
-    return h.h0_diag + (h.w * h.u ** 2).sum(axis=1)
+    """diag(H) = d + sum_j w_j U_j^2, without an n-by-k temporary."""
+    d, u, w = h.low_rank()
+    return d + np.einsum("ij,ij,j->i", u, u, w)
 
 
 @dataclass(frozen=True)
@@ -263,12 +322,6 @@ def box_qp(hessian: Hessian, p, lower, upper) -> QpProblem:
                      var_bounds=Bounds.box(lower, upper))
 
 
-def _check_finite(name, arr, report):
-    arr = np.asarray(arr, dtype=np.float64)
-    if np.any(np.isnan(arr)):
-        report.append(f"non-finite data (NaN) in {name}")
-
-
 def validate_problem(problem: QpProblem) -> list[str]:
     """Return a list of violations; an empty list means the problem is valid."""
     report: list[str] = []
@@ -295,33 +348,15 @@ def validate_problem(problem: QpProblem) -> list[str]:
         bad = np.where(np.isfinite(lo) & np.isfinite(hi) & (lo > hi))[0]
         for i in bad:
             report.append(f"inverted bound: {name}[{i}] has lower {lo[i]} > upper {hi[i]}")
-        _check_finite(f"{name}.lower", np.where(np.isinf(lo), 0.0, lo), report)
-        _check_finite(f"{name}.upper", np.where(np.isinf(hi), 0.0, hi), report)
+        report += _nan_report(f"{name}.lower", lo) + _nan_report(f"{name}.upper", hi)
 
-    _check_finite("p", problem.p, report)
-    _check_finite("b", problem.b, report)
-    _check_finite("A", problem.a.values, report)
-    _check_finite("C", problem.c.values, report)
-    if isinstance(problem.hessian, DiagonalHessian):
-        _check_finite("hessian", problem.hessian.d, report)
-    elif isinstance(problem.hessian, SparseHessian):
-        _check_finite("hessian", problem.hessian.m.values, report)
-    elif isinstance(problem.hessian, DenseHessian):
-        m = problem.hessian.m
-        _check_finite("hessian", m, report)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            report.append(f"hessian is not square: shape {m.shape}")
-        elif m.size and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
-            report.append("hessian is not symmetric")
-    else:
-        _check_finite("hessian.h0_diag", problem.hessian.h0_diag, report)
-        _check_finite("hessian.u", problem.hessian.u, report)
-        _check_finite("hessian.w", problem.hessian.w, report)
+    for name, arr in (("p", problem.p), ("b", problem.b),
+                      ("A", problem.a.values), ("C", problem.c.values)):
+        report += _nan_report(name, arr)
+    report += problem.hessian.validate()
 
-    any_finite_bound = (np.any(np.isfinite(problem.lin_bounds.lower))
-                        or np.any(np.isfinite(problem.lin_bounds.upper))
-                        or np.any(np.isfinite(problem.var_bounds.lower))
-                        or np.any(np.isfinite(problem.var_bounds.upper)))
-    if not any_finite_bound and m_e == 0:
+    limits = (problem.lin_bounds.lower, problem.lin_bounds.upper,
+              problem.var_bounds.lower, problem.var_bounds.upper)
+    if m_e == 0 and not any(np.isfinite(v).any() for v in limits):
         report.append("no finite bounds or constraints; barrier subproblem is not well-posed")
     return report

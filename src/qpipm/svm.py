@@ -3,7 +3,6 @@ bias recovery and prediction."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,28 +36,6 @@ class SparseVector:
 
     def squared_norm(self) -> float:
         return float(self.values @ self.values)
-
-    def dot(self, other: "SparseVector") -> float:
-        """Sparse dot product by merged iteration over the two index lists."""
-        i = j = 0
-        acc = 0.0
-        si, sv = self.indices, self.values
-        oi, ov = other.indices, other.values
-        while i < len(si) and j < len(oi):
-            if si[i] == oi[j]:
-                acc += sv[i] * ov[j]
-                i += 1
-                j += 1
-            elif si[i] < oi[j]:
-                i += 1
-            else:
-                j += 1
-        return acc
-
-    def to_dense(self, n_features: int) -> np.ndarray:
-        out = np.zeros(n_features)
-        out[self.indices] = self.values
-        return out
 
 
 def _dense_rows(samples, n_features: int) -> np.ndarray:
@@ -158,12 +135,6 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
     if not samples:
         raise SvmParseError("no samples in input")
     return SvmDataset(samples=samples, labels=np.array(labels), n_features=n_features)
-
-
-def rbf_kernel(xi: SparseVector, xj: SparseVector, sigma: float) -> float:
-    """exp(-||xi - xj||^2 / (2 sigma))."""
-    d2 = xi.squared_norm() + xj.squared_norm() - 2.0 * xi.dot(xj)
-    return math.exp(-max(d2, 0.0) / (2.0 * sigma))
 
 
 def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:

@@ -4,6 +4,7 @@ Everything here is deliberately coded from the dense block formulas, not by
 calling the package's matrix-free paths, so the tests compare two routes.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from qpipm.linalg import PcgBreakdownError, PcgResult
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
                          QpProblem, QuasiNewtonHessian, SparseHessian,
                          SparseMatrix)
+from qpipm.svm import SparseVector
 
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
@@ -87,30 +89,93 @@ def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> Pcg
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)
 
 
+class SingularMatrixError(RuntimeError):
+    """Pivot magnitude below the singularity threshold in dense_solve."""
+
+
+def dense_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting.
+
+    Signals singularity when a pivot magnitude falls below 1e-14 * max|m|.
+    Intended as the small-scale reference oracle, not a production path.
+    """
+    a = np.array(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError("matrix must be square")
+    n = a.shape[0]
+    x = np.array(rhs, dtype=np.float64)
+    if len(x) != n:
+        raise DimensionError("right-hand side length mismatch")
+    if n == 0:
+        return x
+    max_abs = np.abs(a).max()
+    if max_abs == 0.0:
+        raise SingularMatrixError("zero matrix")
+    pivot_tol = 1e-14 * max_abs
+
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[piv, k]) < pivot_tol:
+            raise SingularMatrixError(f"pivot {a[piv, k]:.3e} below threshold at column {k}")
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            x[[k, piv]] = x[[piv, k]]
+        factors = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
+        x[k + 1:] -= factors * x[k]
+
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x
+
+
+def sparse_from_dense(a) -> SparseMatrix:
+    """The nonzero entries of a dense matrix, as a SparseMatrix."""
+    a = np.asarray(a, dtype=np.float64)
+    rows, cols = np.nonzero(a)
+    return SparseMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
+
+
+def sparse_to_dense(m: SparseMatrix) -> np.ndarray:
+    """Dense materialization by direct scatter (independent of scipy)."""
+    out = np.zeros((m.n_rows, m.n_cols))
+    for i in range(m.n_rows):
+        lo, hi = m.row_offsets[i], m.row_offsets[i + 1]
+        out[i, m.col_indices[lo:hi]] = m.values[lo:hi]
+    return out
+
+
 def dense_hessian(h) -> np.ndarray:
+    """Dense materialization of any Hessian variant."""
     if isinstance(h, DiagonalHessian):
         return np.diag(h.d)
     if isinstance(h, SparseHessian):
-        out = np.zeros((h.n, h.n))
-        m = h.m
-        for i in range(m.n_rows):
-            for k in range(m.row_offsets[i], m.row_offsets[i + 1]):
-                out[i, m.col_indices[k]] = m.values[k]
-        return out
+        return sparse_to_dense(h.m)
     if isinstance(h, DenseHessian):
         return np.array(h.m)
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
 
 
-def hessian_to_dense(h) -> np.ndarray:
-    """Dense materialization of any Hessian variant."""
-    if isinstance(h, DiagonalHessian):
-        return np.diag(h.d)
-    if isinstance(h, SparseHessian):
-        return h.m.to_dense()
-    if isinstance(h, DenseHessian):
-        return h.m.copy()
-    return np.diag(h.h0_diag) + (h.u * h.w) @ h.u.T
+def sparse_dot(x: SparseVector, y: SparseVector) -> float:
+    """Sparse dot product by merged iteration over the two index lists."""
+    i = j = 0
+    acc = 0.0
+    while i < len(x.indices) and j < len(y.indices):
+        if x.indices[i] == y.indices[j]:
+            acc += x.values[i] * y.values[j]
+            i += 1
+            j += 1
+        elif x.indices[i] < y.indices[j]:
+            i += 1
+        else:
+            j += 1
+    return acc
+
+
+def rbf_kernel(xi: SparseVector, xj: SparseVector, sigma: float) -> float:
+    """exp(-||xi - xj||^2 / (2 sigma)), one pair at a time."""
+    d2 = xi.squared_norm() + xj.squared_norm() - 2.0 * sparse_dot(xi, xj)
+    return math.exp(-max(d2, 0.0) / (2.0 * sigma))
 
 
 DENSE_ORACLE_CAP = 2000
@@ -143,7 +208,7 @@ def assemble_dense_augmented(op: KktOperator, cap: int = DENSE_ORACLE_CAP) -> np
 def _dense_blocks(op: KktOperator, cap: int):
     if op.dim > cap:
         raise ValueError(f"dense oracle cap exceeded: dimension {op.dim} > {cap}")
-    q = hessian_to_dense(op.problem.hessian) + np.diag(op.q_diag_extra)
+    q = dense_hessian(op.problem.hessian) + np.diag(op.q_diag_extra)
     return q, op.bmap.b.toarray(), op.d_diag
 
 
@@ -196,17 +261,10 @@ class DenseParts:
         self.problem, self.state = problem, families(state, self.ends)
         self.n = problem.n
         self.h = dense_hessian(problem.hessian)
-        a_dense = np.zeros((problem.m_lin, self.n))
-        for i in range(problem.a.n_rows):
-            for k in range(problem.a.row_offsets[i], problem.a.row_offsets[i + 1]):
-                a_dense[i, problem.a.col_indices[k]] = problem.a.values[k]
-        c_dense = np.zeros((problem.m_eq, self.n))
-        for i in range(problem.c.n_rows):
-            for k in range(problem.c.row_offsets[i], problem.c.row_offsets[i + 1]):
-                c_dense[i, problem.c.col_indices[k]] = problem.c.values[k]
+        a_dense = sparse_to_dense(problem.a)
         self.a_l = a_dense[lin_lower]
         self.a_u = a_dense[lin_upper]
-        self.c = c_dense
+        self.c = sparse_to_dense(problem.c)
         self.p_l = selection(var_lower, self.n)
         self.p_u = selection(var_upper, self.n)
         self.l_a = lin.lower[lin_lower]
@@ -330,7 +388,7 @@ class DenseParts:
 def random_sparse(rng, m, n, density=0.5) -> SparseMatrix:
     mask = rng.random((m, n)) < density
     a = np.where(mask, rng.standard_normal((m, n)), 0.0)
-    return SparseMatrix.from_dense(a)
+    return sparse_from_dense(a)
 
 
 def random_hessian(rng, n, kind=None):
@@ -344,7 +402,7 @@ def random_hessian(rng, n, kind=None):
         dense[np.abs(dense) < 0.05] = 0.0
         dense = 0.5 * (dense + dense.T)
         np.fill_diagonal(dense, np.abs(np.diag(dense)) + 0.2)
-        return SparseHessian(SparseMatrix.from_dense(dense))
+        return SparseHessian(sparse_from_dense(dense))
     if kind == "dense":
         g = rng.standard_normal((n, n))
         return DenseHessian(g @ g.T / n + 0.2 * np.eye(n))

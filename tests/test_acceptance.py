@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import DenseParts, random_interior_state, random_problem
+from oracles import DenseParts, dense_solve, random_interior_state, random_problem
 from qpipm.ipm import (IpmConfig, SolveStatus, infeasibilities, initialize,
                        solve)
 from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
                        compute_residuals, jacobi_diagonal, recover_directions)
-from qpipm.linalg import PcgConfig, dense_solve, pcg
+from qpipm.linalg import PcgConfig, pcg
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseMatrix, box_qp)
 from qpipm.svm import SvmConfig, build_svm_dual, parse_libsvm

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import hessian_to_dense
+from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
 from qpipm.cli import (TRACE_HEADER, QpFileError, build_parser, load_qp_file,
                        main, parse_qp_document, qp_document, read_trace,
                        write_trace)
@@ -101,25 +101,25 @@ class TestQpFile:
         n = 4
         dense = rng.standard_normal((n, n))
         dense = dense + dense.T
-        from qpipm.model import SparseMatrix, Bounds, QpProblem
+        from qpipm.model import Bounds, QpProblem
         for hess in (DiagonalHessian(rng.uniform(1, 2, n)),
-                     SparseHessian(SparseMatrix.from_dense(dense)),
+                     SparseHessian(sparse_from_dense(dense)),
                      QuasiNewtonHessian(rng.uniform(1, 2, n),
                                         rng.standard_normal((n, 2)),
                                         rng.uniform(0.1, 1, 2))):
             p = QpProblem(
                 n=n, hessian=hess, p=rng.standard_normal(n),
-                a=SparseMatrix.from_dense(rng.standard_normal((2, n))),
+                a=sparse_from_dense(rng.standard_normal((2, n))),
                 lin_bounds=Bounds([0.0, -np.inf], [np.inf, 3.0]),
-                c=SparseMatrix.from_dense(rng.standard_normal((1, n))),
+                c=sparse_from_dense(rng.standard_normal((1, n))),
                 b=[1.0],
                 var_bounds=Bounds([0.0] * n, [np.inf] + [2.0] * (n - 1)))
             doc = qp_document(p)
             q = parse_qp_document(json.loads(json.dumps(doc)))
-            np.testing.assert_allclose(hessian_to_dense(q.hessian),
-                                       hessian_to_dense(p.hessian), rtol=1e-15)
-            np.testing.assert_array_equal(q.a.to_dense(), p.a.to_dense())
-            np.testing.assert_array_equal(q.c.to_dense(), p.c.to_dense())
+            np.testing.assert_allclose(dense_hessian(q.hessian),
+                                       dense_hessian(p.hessian), rtol=1e-15)
+            np.testing.assert_array_equal(sparse_to_dense(q.a), sparse_to_dense(p.a))
+            np.testing.assert_array_equal(sparse_to_dense(q.c), sparse_to_dense(p.c))
             np.testing.assert_array_equal(q.lin_bounds.lower, p.lin_bounds.lower)
             np.testing.assert_array_equal(q.var_bounds.upper, p.var_bounds.upper)
             np.testing.assert_array_equal(q.p, p.p)
@@ -196,14 +196,12 @@ class TestSolveQpCommand:
         assert main(["solve-qp", qp_path, "--max-iter", "1"]) == 2
 
     def test_linear_solver_failure_exit_code(self, tmp_path):
-        # H = diag(0, 1): the Jacobi preconditioner is non-finite
-        doc = {"n": 2, "p": [0.0, 1.0], "lx": [None, -1.0], "ux": [None, 1.0],
-               "hessian": {"kind": "bfgs", "h0_diag": [1.0, 1.0],
-                           "u": [[1.0], [0.0]], "w": [-1.0]}}
-        path = tmp_path / "singular.json"
+        # H = -10 < 0: PCG breaks down on its first step
+        doc = {"n": 1, "p": [0.5], "lx": [-1.0], "ux": [1.0],
+               "hessian": {"kind": "diagonal", "d": [-10.0]}}
+        path = tmp_path / "nonconvex.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            code = main(["solve-qp", str(path), "--max-iter", "3", "--cg-maxit", "50"])
+        code = main(["solve-qp", str(path), "--max-iter", "3", "--cg-maxit", "50"])
         assert code == 3
 
 

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assemble_dense, families, make_state,
-                     random_interior_state, random_problem)
+from oracles import (assemble_dense, dense_solve, families, make_state,
+                     random_interior_state, random_problem, sparse_from_dense)
 from qpipm.ipm import (InteriorityError, IpmConfig, SolveStatus, apply_step,
                        infeasibilities, initialize, solve, step_lengths,
                        update_barrier)
 from qpipm.kkt import (FullDirection, Residuals, compute_residuals,
                        recover_directions, build_operator)
-from qpipm.linalg import PcgConfig, PcgResult, dense_solve
+from qpipm.linalg import PcgConfig, PcgResult
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseMatrix, box_qp)
 
@@ -247,20 +247,28 @@ class TestSolve:
             np.testing.assert_allclose(rep_cg.x, rep_dense.x, atol=1e-4)
 
     def test_nan_preconditioner_is_a_solver_failure(self):
-        # H = diag(0, 1): the free variable's Jacobi entry is 0, so the
-        # preconditioned residual is non-finite from the first CG step
-        p = box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
-                   [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
+        # H = -10 < 0: the first CG step meets negative curvature
+        p = box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0])
         cfg = IpmConfig(max_iters=3, pcg=PcgConfig(max_iters=50))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rep = solve(p, cfg)
+        rep = solve(p, cfg)
         assert rep.status is SolveStatus.LINEAR_SOLVER_FAILURE
         assert rep.iterations == 0
+
+    def test_zero_curvature_free_variable_converges(self):
+        # H = diag(0, 1): the free variable's Jacobi entry is 0
+        p = box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
+                   [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
+        rep = solve(p)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.objective == pytest.approx(-0.5, abs=1e-6)
+        # the bound x1 >= -1 holds with a zero multiplier at the optimum, so
+        # the final iterate is about sqrt(mu), not mu, inside it
+        assert rep.x[1] == pytest.approx(-1.0, abs=1e-3)
 
     def test_report_keeps_per_family_multiplier_views(self):
         p = QpProblem(
             n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
-            a=SparseMatrix.from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+            a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
             lin_bounds=Bounds([-1.0, -np.inf], [1.0, 2.0]),
             c=SparseMatrix.empty(0, 3), b=[],
             var_bounds=Bounds([-5.0, 0.0, -np.inf], [5.0, np.inf, np.inf]))
@@ -312,9 +320,9 @@ def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
     import scipy.sparse as sp
     problem = QpProblem(
         n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
-        a=SparseMatrix.from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+        a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
         lin_bounds=Bounds([-1.0, -2.0], [1.0, 2.0]),
-        c=SparseMatrix.from_dense([[1.0, 0.0, 1.0]]), b=[0.5],
+        c=sparse_from_dense([[1.0, 0.0, 1.0]]), b=[0.5],
         var_bounds=Bounds.box([-5.0] * 3, [5.0] * 3))
     original = sp.csr_matrix.transpose
     counts = []

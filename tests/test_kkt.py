@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
-                     hessian_to_dense, make_state, random_interior_state,
-                     random_problem)
+                     dense_hessian, dense_solve, make_state, random_interior_state,
+                     random_problem, sparse_from_dense)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
 from qpipm.kkt import (BoundIndexMap, apply_doubly_augmented, assemble_rhs,
                        build_operator, compute_residuals, jacobi_diagonal,
                        preconditioner, recover_directions)
-from qpipm.linalg import dense_solve
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
                          SparseMatrix, box_qp)
 
@@ -29,7 +28,7 @@ def scalar_instance():
     """n=1, one lower-bounded linear constraint, unit slack/multiplier: Q=B=D=1."""
     problem = QpProblem(
         n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
-        a=SparseMatrix.from_dense([[1.0]]),
+        a=sparse_from_dense([[1.0]]),
         lin_bounds=Bounds([0.0], [np.inf]),
         c=SparseMatrix.empty(0, 1), b=[],
         var_bounds=Bounds.free(1))
@@ -41,7 +40,7 @@ class TestBoundIndexMap:
     def test_families(self):
         problem = QpProblem(
             n=3, hessian=DiagonalHessian([1.0] * 3), p=[0.0] * 3,
-            a=SparseMatrix.from_dense([[1.0, 0, 0], [0, 1.0, 0]]),
+            a=sparse_from_dense([[1.0, 0, 0], [0, 1.0, 0]]),
             lin_bounds=Bounds([0.0, -np.inf], [np.inf, 2.0]),
             c=SparseMatrix.empty(0, 3), b=[],
             var_bounds=Bounds([0.0, -np.inf, 1.0], [np.inf, np.inf, 2.0]))
@@ -95,9 +94,9 @@ class TestBuildOperator:
     def test_d_diag_example(self):
         problem = QpProblem(
             n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
-            a=SparseMatrix.from_dense([[1.0]]),
+            a=sparse_from_dense([[1.0]]),
             lin_bounds=Bounds([0.0], [5.0]),
-            c=SparseMatrix.from_dense([[1.0]]), b=[0.0],
+            c=sparse_from_dense([[1.0]]), b=[0.0],
             var_bounds=Bounds.free(1))
         state = make_state([1.0], 0.1, lam_e=[0.0], s_lA=[2.0], s_uA=[1.0],
                            lam_lA=[4.0], lam_uA=[0.5])
@@ -338,7 +337,7 @@ class TestPreconditioner:
         for _ in range(5):
             problem = replace(random_problem(rng, n=8),
                               hessian=_indefinite_weight_hessian(rng, 8))
-            assert np.linalg.eigvalsh(hessian_to_dense(problem.hessian)).min() > 0
+            assert np.linalg.eigvalsh(dense_hessian(problem.hessian)).min() > 0
             state = random_interior_state(rng, problem)
             op = build_operator(problem, state)
             m = _dense_preconditioner_matrix(problem, state)
@@ -374,9 +373,10 @@ class TestPreconditioner:
                          [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0])
         op = build_operator(problem, initialize(problem, IpmConfig()))
         v = np.array([1.0, -2.0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.testing.assert_array_equal(preconditioner(op)(v),
-                                          (1.0 / jacobi_diagonal(op)) * v)
+        diag = jacobi_diagonal(op)
+        assert diag[0] == 0.0
+        np.testing.assert_array_equal(preconditioner(op)(v),
+                                      (1.0 / np.where(diag > 0, diag, 1.0)) * v)
 
     def test_box_only_quasi_newton_solves_take_at_most_two_cg_steps(self, rng):
         n, k = 500, 5
@@ -400,10 +400,12 @@ class TestPreconditioner:
         lo[:n // 10], hi[:n // 10] = -1.0, 1.0
         problem = box_qp(hessian, np.zeros(n), lo, hi)
         op = build_operator(problem, initialize(problem, IpmConfig()))
-        tracemalloc.start()
-        try:
-            preconditioner(op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20  # U itself is 32 MB
+        for build in (lambda: preconditioner(op),
+                      lambda: BoundIndexMap.from_problem(problem)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20  # U itself is 32 MB

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_hessian, hessian_to_dense, random_hessian,
-                     random_sparse)
+from oracles import (dense_hessian, random_hessian, sparse_from_dense,
+                     sparse_to_dense)
+from qpipm.cli import parse_qp_document, qp_document
+from qpipm.ipm import SolveStatus, solve
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian,
                          DimensionError, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix,
@@ -18,12 +20,12 @@ class TestSparseMatrix:
     def test_coo_round_trip(self, rng):
         for _ in range(10):
             dense = np.where(rng.random((6, 4)) < 0.4, rng.standard_normal((6, 4)), 0.0)
-            m = SparseMatrix.from_dense(dense)
-            np.testing.assert_array_equal(m.to_dense(), dense)
+            m = sparse_from_dense(dense)
+            np.testing.assert_array_equal(sparse_to_dense(m), dense)
 
     def test_duplicate_coo_entries_summed(self):
         m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
-        np.testing.assert_array_equal(m.to_dense(), [[0.0, 5.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(sparse_to_dense(m), [[0.0, 5.0], [1.0, 0.0]])
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
@@ -43,12 +45,12 @@ class TestSparseMatrix:
     def test_column_decrease_across_rows_accepted(self):
         m = SparseMatrix(4, 3, [0, 2, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(
-            m.to_dense(), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
+            sparse_to_dense(m), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
 
     def test_empty(self):
         m = SparseMatrix.empty(0, 3)
-        assert m.nnz == 0
-        assert m.to_dense().shape == (0, 3)
+        assert len(m.values) == 0
+        assert sparse_to_dense(m).shape == (0, 3)
 
 
 class TestHessianApply:
@@ -139,10 +141,35 @@ class TestHessianDiagonal:
                 e[j] = 1.0
                 assert diag[j] == pytest.approx(e @ hessian_apply(h, e), rel=1e-14, abs=1e-14)
 
-    def test_to_dense_matches_oracle(self, rng):
-        for kind in ("diagonal", "sparse", "bfgs"):
-            h = random_hessian(rng, 6, kind)
-            np.testing.assert_allclose(hessian_to_dense(h), dense_hessian(h), rtol=1e-13)
+
+class ScaledIdentity:
+    """c I with only the members the solver may read from a Hessian."""
+
+    def __init__(self, n, c):
+        self.n, self.c = n, c
+
+    def apply(self, v):
+        return self.c * v
+
+    def low_rank(self):
+        return np.full(self.n, self.c), np.zeros((self.n, 0)), np.zeros(0)
+
+    def validate(self):
+        return []
+
+    def to_json(self):
+        return {"kind": "diagonal", "d": [self.c] * self.n}
+
+
+def test_solver_reads_only_the_hessian_members():
+    p = box_qp(ScaledIdentity(3, 2.0), [1.0, -4.0, 0.0], [-1.0] * 3, [1.0] * 3)
+    assert validate_problem(p) == []
+    report = solve(p)
+    assert report.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(report.x, [-0.5, 1.0, 0.0], atol=1e-4)
+    doc = qp_document(p)
+    assert doc["hessian"] == {"kind": "diagonal", "d": [2.0, 2.0, 2.0]}
+    np.testing.assert_array_equal(parse_qp_document(doc).hessian.d, [2.0, 2.0, 2.0])
 
 
 @settings(max_examples=50, deadline=None)

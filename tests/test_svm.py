@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rbf_kernel, sparse_to_dense
 from qpipm.ipm import SolveStatus, solve
 from qpipm.model import DenseHessian, validate_problem
 from qpipm.svm import (DegenerateModelError, SparseVector, SvmConfig,
                        SvmDataset, SvmParseError, build_svm_dual, extract_model,
-                       parse_libsvm, predict, rbf_kernel, training_accuracy)
+                       parse_libsvm, predict, training_accuracy)
 
 
 def vec(pairs):
@@ -87,7 +88,7 @@ class TestBuildSvmDual:
         p = build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
         assert p.n == 2
         assert p.m_eq == 1
-        np.testing.assert_array_equal(p.c.to_dense(), [[1.0, -1.0]])
+        np.testing.assert_array_equal(sparse_to_dense(p.c), [[1.0, -1.0]])
         np.testing.assert_array_equal(p.p, [-1.0, -1.0])
         h = p.hessian.m
         assert h[0, 0] == 1.0
