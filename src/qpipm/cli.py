@@ -49,24 +49,23 @@ def _reject_unknown(doc: dict, prefix: str, known) -> None:
             raise QpFileError(f"unknown member '{prefix}{key}'")
 
 
-def _member(doc: dict, name: str, default=None, required=False):
+def _required(doc: dict, name: str):
     if name not in doc:
-        if required:
-            raise QpFileError(f"missing member '{name}'")
-        return default
+        raise QpFileError(f"missing member '{name}'")
     return doc[name]
 
 
-def _real_array(doc, name, allow_null=False) -> np.ndarray:
+def _real_array(doc, name, null=None) -> np.ndarray:
+    """``null``: the value a JSON null stands for; None rejects nulls."""
     raw = doc
     if not isinstance(raw, list):
         raise QpFileError(f"member '{name}' must be an array")
     out = np.empty(len(raw))
     for i, v in enumerate(raw):
         if v is None:
-            if not allow_null:
+            if null is None:
                 raise QpFileError(f"member '{name}' contains null at position {i}")
-            out[i] = np.nan
+            out[i] = null
         elif isinstance(v, (int, float)) and not isinstance(v, bool):
             out[i] = float(v)
         else:
@@ -85,13 +84,13 @@ def _index_array(raw, name, size) -> np.ndarray:
     return np.array(raw, dtype=np.int64)
 
 
-def _bounds(doc, lname, uname, sentinel_lo, sentinel_hi) -> Bounds:
-    lo = _real_array(doc.get(lname, []), lname, allow_null=True)
-    hi = _real_array(doc.get(uname, []), uname, allow_null=True)
+def _bounds(doc, lname, uname, size) -> Bounds:
+    """null means unbounded on that side; a missing member means ``size`` nulls."""
+    lo = _real_array(doc.get(lname, [None] * size), lname, null=-np.inf)
+    hi = _real_array(doc.get(uname, [None] * size), uname, null=np.inf)
     if len(lo) != len(hi):
         raise QpFileError(f"members '{lname}' and '{uname}' have different lengths")
-    return Bounds(np.where(np.isnan(lo), sentinel_lo, lo),
-                  np.where(np.isnan(hi), sentinel_hi, hi))
+    return Bounds(lo, hi)
 
 
 def _coo_matrix(doc, name, n_rows, n_cols) -> SparseMatrix:
@@ -119,40 +118,38 @@ def _hessian(doc, n):
         raise QpFileError(f"member 'hessian.kind' has unknown value '{kind}'")
     _reject_unknown(doc, "hessian.", _HESSIAN_MEMBERS[kind])
     if kind == "diagonal":
-        d = _real_array(_member(doc, "d", required=True), "hessian.d")
+        d = _real_array(_required(doc, "d"), "hessian.d")
         if len(d) != n:
             raise QpFileError("member 'hessian.d' has wrong length")
         return DiagonalHessian(d)
     if kind == "coo":
         coo = {key: doc[key] for key in _COO_MEMBERS if key in doc}
         return SparseHessian(_coo_matrix(coo, "hessian", n, n))
-    h0 = _real_array(_member(doc, "h0_diag", required=True), "hessian.h0_diag")
-    w = _real_array(_member(doc, "w", required=True), "hessian.w")
-    u_rows = _member(doc, "u", required=True)
+    h0 = _real_array(_required(doc, "h0_diag"), "hessian.h0_diag")
+    w = _real_array(_required(doc, "w"), "hessian.w")
+    u_rows = _required(doc, "u")
     if not isinstance(u_rows, list) or len(u_rows) != n:
         raise QpFileError("member 'hessian.u' must be an n-row array of arrays")
-    u = np.array([_real_array(row, "hessian.u") for row in u_rows]) \
-        if n else np.zeros((0, len(w)))
-    if u.shape != (n, len(w)):
+    rows = [_real_array(row, "hessian.u") for row in u_rows]
+    if any(len(row) != len(w) for row in rows):
         raise QpFileError("member 'hessian.u' has inconsistent row lengths")
-    return QuasiNewtonHessian(h0, u, w)
+    return QuasiNewtonHessian(h0, np.array(rows).reshape(n, len(w)), w)
 
 
 def parse_qp_document(doc: dict) -> QpProblem:
     if not isinstance(doc, dict):
         raise QpFileError("document root must be an object")
     _reject_unknown(doc, "", _TOP_MEMBERS)
-    n = _member(doc, "n", required=True)
+    n = _required(doc, "n")
     if not isinstance(n, int) or n < 0:
         raise QpFileError("member 'n' must be a nonnegative integer")
-    p = _real_array(_member(doc, "p", required=True), "p")
-    lin_bounds = _bounds(doc, "l", "u", -np.inf, np.inf)
-    var_doc = {"lx": doc.get("lx", [None] * n), "ux": doc.get("ux", [None] * n)}
-    var_bounds = _bounds(var_doc, "lx", "ux", -np.inf, np.inf)
+    p = _real_array(_required(doc, "p"), "p")
+    lin_bounds = _bounds(doc, "l", "u", 0)
+    var_bounds = _bounds(doc, "lx", "ux", n)
     b = _real_array(doc.get("b", []), "b")
     return QpProblem(
         n=n,
-        hessian=_hessian(_member(doc, "hessian", required=True), n),
+        hessian=_hessian(_required(doc, "hessian"), n),
         p=p,
         a=_coo_matrix(doc.get("A"), "A", len(lin_bounds), n),
         lin_bounds=lin_bounds,
@@ -280,38 +277,38 @@ def _finish(report: SolveReport, problem: QpProblem, args, extra: dict) -> int:
     return _STATUS_EXIT[report.status]
 
 
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def cmd_solve_qp(args) -> int:
     try:
+        cfg = _ipm_config(args)
         problem = load_qp_file(args.file)
-    except QpFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValueError as exc:  # out-of-range flag or QpFileError
+        return _input_error(exc)
     violations = validate_problem(problem)
     if violations:
         for v in violations:
             print(f"invalid problem: {v}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = solve(problem, _ipm_config(args), verbose=args.verbose)
+    report = solve(problem, cfg, verbose=args.verbose)
     return _finish(report, problem, args, {"x": report.x.tolist()})
 
 
 def cmd_solve_svm(args) -> int:
     try:
+        ipm_cfg = _ipm_config(args)
+        cfg = svm.SvmConfig(sigma=args.sigma, c=args.c)
         with open(args.file, "rb") as fh:
             data = svm.parse_libsvm(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read '{args.file}': {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except svm.SvmParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    cfg = svm.SvmConfig(sigma=args.sigma, c=args.c)
-    try:
         problem = svm.build_svm_dual(data, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = solve(problem, _ipm_config(args), verbose=args.verbose)
+    except OSError as exc:
+        return _input_error(f"cannot read '{args.file}': {exc}")
+    except ValueError as exc:  # out-of-range flag, SvmParseError or unusable dataset
+        return _input_error(exc)
+    report = solve(problem, ipm_cfg, verbose=args.verbose)
     extra: dict = {"alpha": report.x.tolist()}
     try:
         model = svm.extract_model(data, cfg, report.x)
@@ -329,8 +326,7 @@ def cmd_check(args) -> int:
     try:
         problem = load_qp_file(args.file)
     except QpFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
     violations = validate_problem(problem)
     if violations:
         for v in violations:

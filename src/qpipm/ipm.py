@@ -6,11 +6,11 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .kkt import (BoundIndexMap, FullDirection, IterateState, KktOperator,
+from .kkt import (FullDirection, IterateState, KktOperator,
                   Residuals, apply_doubly_augmented, assemble_rhs,
                   build_operator, compute_residuals, preconditioner,
                   recover_directions)
@@ -42,10 +42,12 @@ class IpmConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.mu_init <= 0 or self.mu_tol <= 0:
+        if not (self.mu_init > 0 and self.mu_tol > 0):  # NaN fails too
             raise ValueError("barrier parameters must be positive")
-        if self.mu_shrink <= 1.0:
+        if not self.mu_shrink > 1.0:
             raise ValueError("mu_shrink must exceed 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,8 @@ class SolveReport:
     wall_time: float
 
 
-def initialize(problem: QpProblem, cfg: IpmConfig,
-               bmap: BoundIndexMap | None = None) -> IterateState:
+def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
     """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|)."""
-    if bmap is None:
-        bmap = BoundIndexMap.from_problem(problem)
     lo, hi = problem.var_bounds.lower, problem.var_bounds.upper
     x = np.zeros(problem.n)
     both = np.isfinite(lo) & np.isfinite(hi)
@@ -89,6 +88,7 @@ def initialize(problem: QpProblem, cfg: IpmConfig,
     x[only_lo] = lo[only_lo] + 1.0
     x[only_hi] = hi[only_hi] - 1.0
 
+    bmap = problem.layout
     gap = bmap.g(x, bmap.b @ x) - bmap.g0
     return IterateState(x=x, lam_e=np.zeros(problem.m_eq),
                         s=np.maximum(1.0, np.abs(gap)), lam=np.ones(len(gap)),
@@ -159,14 +159,13 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     if cfg is None:
         cfg = IpmConfig()
     t0 = time.perf_counter()
-    bmap = BoundIndexMap.from_problem(problem)
-    state = initialize(problem, cfg, bmap)
-    res = compute_residuals(problem, state, bmap)
+    state = initialize(problem, cfg)
+    res = compute_residuals(problem, state)
     trace: list[TraceRecord] = []
     status = SolveStatus.ITERATION_LIMIT
 
     for it in range(1, cfg.max_iters + 1):
-        op = build_operator(problem, state, bmap)
+        op = build_operator(problem, state)
         rhs = assemble_rhs(op, res, state)
         try:
             cg = direction_solver(op, rhs, cfg.pcg)
@@ -182,7 +181,7 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
         alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
         state = apply_step(state, direction, alpha_x, alpha_lam)
-        res = compute_residuals(problem, state, bmap)
+        res = compute_residuals(problem, state)
         primal, dual, compl = infeasibilities(res)
         trace.append(TraceRecord(
             iter=it, mu=state.mu, primal_inf=primal, dual_inf=dual,
@@ -202,7 +201,7 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
             break
         if new_mu != state.mu:
             state.mu = new_mu
-            res = compute_residuals(problem, state, bmap)
+            res = compute_residuals(problem, state)
 
     return SolveReport(
         x=state.x.copy(), state=state, status=status, trace=trace,

@@ -7,7 +7,7 @@ m_rows entries are the inequality rows of B = (C; A_l; -A_u) and go into D;
 the rest are var_sign * x[var_idx] (+1 lower, -1 upper) and go into Q's
 diagonal. g0 = (l, -u, lx, -ux) on the finite entries. The Newton system is
 never formed: each operator application uses one product with H, B and B'.
-B, B' and diag(H) are built once per solve (``BoundIndexMap``).
+B, B' and diag(H) are built once per problem (``QpProblem.layout``).
 """
 
 from __future__ import annotations
@@ -16,69 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .model import QpProblem, hessian_apply, hessian_diagonal
-
-
-@dataclass(frozen=True)
-class BoundIndexMap:
-    """What the KKT operator needs that is fixed for the whole solve.
-
-    The stacked layout of the module docstring: splits are the ends of the
-    A-lower, A-upper and variable-lower blocks (splits[1] = m_rows); var_idx,
-    var_sign and g0 as there. b = (C; A_l; -A_u) in CSR, bt its CSR transpose,
-    bt_sq = bt * bt elementwise, h_diag = diag(H). The only code that knows
-    the four bound families.
-    """
-
-    m_eq: int
-    splits: tuple[int, int, int]
-    var_idx: np.ndarray
-    var_sign: np.ndarray
-    g0: np.ndarray
-    b: sp.csr_matrix
-    bt: sp.csr_matrix
-    bt_sq: sp.csr_matrix
-    h_diag: np.ndarray
-
-    @classmethod
-    def from_problem(cls, problem: QpProblem) -> "BoundIndexMap":
-        lin, var = problem.lin_bounds, problem.var_bounds
-        lin_lower = np.where(np.isfinite(lin.lower))[0]
-        lin_upper = np.where(np.isfinite(lin.upper))[0]
-        var_lower = np.where(np.isfinite(var.lower))[0]
-        var_upper = np.where(np.isfinite(var.upper))[0]
-        a = problem.a.csr
-        b = sp.vstack([problem.c.csr, a[lin_lower], -a[lin_upper]], format="csr")
-        bt = b.T.tocsr()
-        m_rows = len(lin_lower) + len(lin_upper)
-        return cls(
-            m_eq=problem.m_eq,
-            splits=(len(lin_lower), m_rows, m_rows + len(var_lower)),
-            var_idx=np.concatenate([var_lower, var_upper]),
-            var_sign=np.concatenate([np.ones(len(var_lower)),
-                                     -np.ones(len(var_upper))]),
-            g0=np.concatenate([lin.lower[lin_lower], -lin.upper[lin_upper],
-                               var.lower[var_lower], -var.upper[var_upper]]),
-            b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr(),
-            h_diag=hessian_diagonal(problem.hessian),
-        )
-
-    @property
-    def m_rows(self) -> int:
-        return self.splits[1]
-
-    def g(self, x: np.ndarray, bx: np.ndarray) -> np.ndarray:
-        """The stacked inequality values g(x), given bx = b @ x."""
-        return np.concatenate([bx[self.m_eq:], self.var_sign * x[self.var_idx]])
-
-    def scatter_var(self, w: np.ndarray) -> np.ndarray:
-        """w summed into an n-vector at var_idx. With P x = var_sign * x[var_idx],
-        P'v = scatter_var(var_sign * v) and P' diag(w) P = diag(scatter_var(w))."""
-        # astype: bincount gives integer zeros when there are no variable bounds
-        n = self.b.shape[1]
-        return np.bincount(self.var_idx, w, minlength=n).astype(np.float64, copy=False)
+from .model import QpProblem, hessian_apply
 
 
 def _multiplier_view(family: int) -> property:
@@ -141,11 +80,9 @@ class FullDirection:
     d_lam: np.ndarray
 
 
-def compute_residuals(problem: QpProblem, state: IterateState,
-                      bmap: BoundIndexMap | None = None) -> Residuals:
+def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
     """Residual blocks of the perturbed optimality conditions at the iterate."""
-    if bmap is None:
-        bmap = BoundIndexMap.from_problem(problem)
+    bmap = problem.layout
     x, mu, m = state.x, state.mu, bmap.m_rows
     bx = bmap.b @ x
     r_H = hessian_apply(problem.hessian, x) + problem.p \
@@ -162,12 +99,11 @@ def compute_residuals(problem: QpProblem, state: IterateState,
 class KktOperator:
     """Matrix-free doubly augmented system [[Q + 2B'D^{-1}B, B'], [B, D]].
 
-    Q u = H u + q_diag_extra * u; B = bmap.b = (C; A_l; -A_u); D is diagonal.
+    Q u = H u + q_diag_extra * u; B = (C; A_l; -A_u); D is diagonal.
     Immutable per IPM iteration; applications are pure.
     """
 
     problem: QpProblem
-    bmap: BoundIndexMap
     q_diag_extra: np.ndarray
     d_diag: np.ndarray
 
@@ -187,23 +123,21 @@ class KktOperator:
         return v[:self.n], v[self.n:]
 
     def apply_b(self, u: np.ndarray) -> np.ndarray:
-        return self.bmap.b @ u
+        return self.problem.layout.b @ u
 
     def apply_bt(self, w: np.ndarray) -> np.ndarray:
-        return self.bmap.bt @ w
+        return self.problem.layout.bt @ w
 
     def apply_q(self, u: np.ndarray) -> np.ndarray:
         return hessian_apply(self.problem.hessian, u) + self.q_diag_extra * u
 
 
-def build_operator(problem: QpProblem, state: IterateState,
-                   bmap: BoundIndexMap | None = None) -> KktOperator:
+def build_operator(problem: QpProblem, state: IterateState) -> KktOperator:
     """Assemble the diagonal data of the doubly augmented operator; no matrices formed."""
-    if bmap is None:
-        bmap = BoundIndexMap.from_problem(problem)
+    bmap = problem.layout
     m = bmap.m_rows
     return KktOperator(
-        problem=problem, bmap=bmap,
+        problem=problem,
         q_diag_extra=bmap.scatter_var(state.lam[m:] / state.s[m:]),
         d_diag=np.concatenate([np.full(bmap.m_eq, state.mu), state.s[:m] / state.lam[:m]]))
 
@@ -227,12 +161,12 @@ def jacobi_diagonal(op: KktOperator) -> np.ndarray:
     Top block: diag(Q) + 2 sum_i B_ij^2 / D_ii; the rows of A with both
     bounds finite contribute twice, once per family. Bottom block: D.
     """
-    return np.concatenate([_top_diagonal(op, op.bmap.h_diag), op.d_diag])
+    return np.concatenate([_top_diagonal(op, op.problem.layout.h_diag), op.d_diag])
 
 
 def _top_diagonal(op: KktOperator, h_part: np.ndarray) -> np.ndarray:
     """h_part + q_diag_extra + diag(2B'D^{-1}B)."""
-    return h_part + op.q_diag_extra + 2.0 * (op.bmap.bt_sq @ (1.0 / op.d_diag))
+    return h_part + op.q_diag_extra + 2.0 * (op.problem.layout.bt_sq @ (1.0 / op.d_diag))
 
 
 # U' diag(1/T) U is summed over row blocks of U of about 2^15 entries: the
@@ -297,7 +231,8 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray,
 
 def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.ndarray:
     """Right-hand side (r1 + 2 B' D^{-1} r2, r2) of the doubly augmented system."""
-    bmap, m = op.bmap, op.bmap.m_rows
+    bmap = op.problem.layout
+    m = bmap.m_rows
     lam, s = state.lam, state.s
     r1 = -res.r_H - bmap.scatter_var(
         bmap.var_sign * (res.r_c[m:] / s[m:] + (lam[m:] / s[m:]) * res.r_p[m:]))
@@ -315,7 +250,8 @@ def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
     Rows of B take ds from complementarity; variable bounds take ds from the
     primal block and then d_lam from complementarity.
     """
-    bmap, m = op.bmap, op.bmap.m_rows
+    bmap = op.problem.layout
+    m = bmap.m_rows
     lam, s = state.lam, state.s
     d_lam_rows = d_lam_a[bmap.m_eq:]
     ds_rows = -(res.r_c[:m] + s[:m] * d_lam_rows) / lam[:m]

@@ -27,7 +27,7 @@ class PcgConfig:
     tol_is_relative: bool = True
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

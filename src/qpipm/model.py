@@ -89,7 +89,15 @@ class SparseMatrix:
 
 
 def _nan_report(name: str, arr) -> list[str]:
+    """Bounds: ±inf marks an unbounded side, so only NaN is a violation."""
     return [f"non-finite data (NaN) in {name}"] if np.any(np.isnan(arr)) else []
+
+
+def _finite_report(name: str, arr) -> list[str]:
+    """Coefficient data: NaN and ±inf are both violations."""
+    if np.all(np.isfinite(arr)):
+        return []
+    return _nan_report(name, arr) or [f"non-finite data (inf) in {name}"]
 
 
 def _no_update(d: np.ndarray):
@@ -115,7 +123,7 @@ class DiagonalHessian:
         return _no_update(self.d)
 
     def validate(self):
-        return _nan_report("hessian", self.d)
+        return _finite_report("hessian", self.d)
 
     def to_json(self):
         return {"kind": "diagonal", "d": self.d.tolist()}
@@ -138,7 +146,7 @@ class SparseHessian:
         return _no_update(np.asarray(self.m.csr.diagonal()))
 
     def validate(self):
-        return _nan_report("hessian", self.m.values)
+        return _finite_report("hessian", self.m.values)
 
     def to_json(self):
         return {"kind": "coo", **self.m.to_json()}
@@ -175,10 +183,11 @@ class DenseHessian:
 
     def validate(self):
         m = self.m
-        report = _nan_report("hessian", m)
+        report = _finite_report("hessian", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             report.append(f"hessian is not square: shape {m.shape}")
-        elif m.size and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m)):
+        elif (not report and m.size  # m - m.T is NaN where m holds inf
+              and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m))):
             report.append("hessian is not symmetric")
         return report
 
@@ -219,8 +228,8 @@ class QuasiNewtonHessian:
         return self.h0_diag, self.u, self.w
 
     def validate(self):
-        return (_nan_report("hessian.h0_diag", self.h0_diag)
-                + _nan_report("hessian.u", self.u) + _nan_report("hessian.w", self.w))
+        return (_finite_report("hessian.h0_diag", self.h0_diag)
+                + _finite_report("hessian.u", self.u) + _finite_report("hessian.w", self.w))
 
     def to_json(self):
         return {"kind": "bfgs", "h0_diag": self.h0_diag.tolist(),
@@ -274,11 +283,6 @@ class Bounds:
     def free(cls, n: int) -> "Bounds":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
-    @classmethod
-    def box(cls, lower, upper) -> "Bounds":
-        return cls(np.asarray(lower, dtype=np.float64),
-                   np.asarray(upper, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class QpProblem:
@@ -312,6 +316,72 @@ class QpProblem:
     def objective(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ hessian_apply(self.hessian, x)) + float(self.p @ x)
 
+    @cached_property
+    def layout(self) -> "BoundIndexMap":
+        """The stacked inequality layout, built on first use and kept."""
+        return BoundIndexMap.from_problem(self)
+
+
+@dataclass(frozen=True)
+class BoundIndexMap:
+    """What the KKT operator needs that is fixed by the problem, built once
+    per problem (``QpProblem.layout``).
+
+    The stacked layout of the ``kkt`` module docstring: splits are the ends of the
+    A-lower, A-upper and variable-lower blocks (splits[1] = m_rows); var_idx,
+    var_sign and g0 as there. b = (C; A_l; -A_u) in CSR, bt its CSR transpose,
+    bt_sq = bt * bt elementwise, h_diag = diag(H). The only code that knows
+    the four bound families.
+    """
+
+    m_eq: int
+    splits: tuple[int, int, int]
+    var_idx: np.ndarray
+    var_sign: np.ndarray
+    g0: np.ndarray
+    b: sp.csr_matrix
+    bt: sp.csr_matrix
+    bt_sq: sp.csr_matrix
+    h_diag: np.ndarray
+
+    @classmethod
+    def from_problem(cls, problem: QpProblem) -> "BoundIndexMap":
+        lin, var = problem.lin_bounds, problem.var_bounds
+        lin_lower = np.where(np.isfinite(lin.lower))[0]
+        lin_upper = np.where(np.isfinite(lin.upper))[0]
+        var_lower = np.where(np.isfinite(var.lower))[0]
+        var_upper = np.where(np.isfinite(var.upper))[0]
+        a = problem.a.csr
+        b = sp.vstack([problem.c.csr, a[lin_lower], -a[lin_upper]], format="csr")
+        bt = b.T.tocsr()
+        m_rows = len(lin_lower) + len(lin_upper)
+        return cls(
+            m_eq=problem.m_eq,
+            splits=(len(lin_lower), m_rows, m_rows + len(var_lower)),
+            var_idx=np.concatenate([var_lower, var_upper]),
+            var_sign=np.concatenate([np.ones(len(var_lower)),
+                                     -np.ones(len(var_upper))]),
+            g0=np.concatenate([lin.lower[lin_lower], -lin.upper[lin_upper],
+                               var.lower[var_lower], -var.upper[var_upper]]),
+            b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr(),
+            h_diag=hessian_diagonal(problem.hessian),
+        )
+
+    @property
+    def m_rows(self) -> int:
+        return self.splits[1]
+
+    def g(self, x: np.ndarray, bx: np.ndarray) -> np.ndarray:
+        """The stacked inequality values g(x), given bx = b @ x."""
+        return np.concatenate([bx[self.m_eq:], self.var_sign * x[self.var_idx]])
+
+    def scatter_var(self, w: np.ndarray) -> np.ndarray:
+        """w summed into an n-vector at var_idx. With P x = var_sign * x[var_idx],
+        P'v = scatter_var(var_sign * v) and P' diag(w) P = diag(scatter_var(w))."""
+        # astype: bincount gives integer zeros when there are no variable bounds
+        n = self.b.shape[1]
+        return np.bincount(self.var_idx, w, minlength=n).astype(np.float64, copy=False)
+
 
 def box_qp(hessian: Hessian, p, lower, upper) -> QpProblem:
     """Convenience constructor for a bound-constrained QP."""
@@ -319,7 +389,7 @@ def box_qp(hessian: Hessian, p, lower, upper) -> QpProblem:
     return QpProblem(n=n, hessian=hessian, p=p,
                      a=SparseMatrix.empty(0, n), lin_bounds=Bounds.free(0),
                      c=SparseMatrix.empty(0, n), b=np.zeros(0),
-                     var_bounds=Bounds.box(lower, upper))
+                     var_bounds=Bounds(lower, upper))
 
 
 def validate_problem(problem: QpProblem) -> list[str]:
@@ -348,11 +418,13 @@ def validate_problem(problem: QpProblem) -> list[str]:
         bad = np.where(np.isfinite(lo) & np.isfinite(hi) & (lo > hi))[0]
         for i in bad:
             report.append(f"inverted bound: {name}[{i}] has lower {lo[i]} > upper {hi[i]}")
+        for i in np.where((lo == np.inf) | (hi == -np.inf))[0]:
+            report.append(f"empty bound: {name}[{i}] has lower {lo[i]}, upper {hi[i]}")
         report += _nan_report(f"{name}.lower", lo) + _nan_report(f"{name}.upper", hi)
 
     for name, arr in (("p", problem.p), ("b", problem.b),
                       ("A", problem.a.values), ("C", problem.c.values)):
-        report += _nan_report(name, arr)
+        report += _finite_report(name, arr)
     report += problem.hessian.validate()
 
     limits = (problem.lin_bounds.lower, problem.lin_bounds.upper,

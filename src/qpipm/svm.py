@@ -3,6 +3,7 @@ bias recovery and prediction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ class SvmConfig:
     c: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.c <= 0:
+        if not (self.sigma > 0 and self.c > 0):  # NaN fails too
             raise ValueError("sigma and c must be positive")
 
 
@@ -124,6 +125,8 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
                 v = float(val)
             except ValueError:
                 raise SvmParseError(f"line {lineno}: malformed feature '{tok}'") from None
+            if not math.isfinite(v):
+                raise SvmParseError(f"line {lineno}: non-finite feature value '{tok}'")
             if i <= prev:
                 raise SvmParseError(f"line {lineno}: feature indices not strictly increasing")
             prev = i
@@ -188,7 +191,7 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
         lin_bounds=Bounds.free(0),
         c=SparseMatrix.from_coo(1, n, np.zeros(n, dtype=np.int64), np.arange(n), y),
         b=np.zeros(1),
-        var_bounds=Bounds.box(np.zeros(n), np.full(n, cfg.c)),
+        var_bounds=Bounds(np.zeros(n), np.full(n, cfg.c)),
     )
 
 

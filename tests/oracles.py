@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qpipm.kkt import BoundIndexMap, FullDirection, IterateState, KktOperator
+from qpipm.kkt import FullDirection, IterateState, KktOperator
 from qpipm.linalg import PcgBreakdownError, PcgResult
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
                          QpProblem, QuasiNewtonHessian, SparseHessian,
@@ -209,7 +209,7 @@ def _dense_blocks(op: KktOperator, cap: int):
     if op.dim > cap:
         raise ValueError(f"dense oracle cap exceeded: dimension {op.dim} > {cap}")
     q = dense_hessian(op.problem.hessian) + np.diag(op.q_diag_extra)
-    return q, op.bmap.b.toarray(), op.d_diag
+    return q, op.problem.layout.b.toarray(), op.d_diag
 
 
 def selection(indices, n) -> np.ndarray:
@@ -456,8 +456,8 @@ def random_problem(rng, n=None, m_a=None, m_e=None, hessian_kind=None) -> QpProb
 
 
 def random_interior_state(rng, problem: QpProblem) -> IterateState:
-    bmap = BoundIndexMap.from_problem(problem)
-    sizes = dict(zip(FAMILIES, np.diff([0, *bmap.splits, len(bmap.g0)])))
+    layout = problem.layout
+    sizes = dict(zip(FAMILIES, np.diff([0, *layout.splits, len(layout.g0)])))
     x = rng.standard_normal(problem.n)
     s = {f"s_{f}": rng.uniform(0.3, 2.0, sizes[f]) for f in FAMILIES}
     lam_e = rng.standard_normal(problem.m_eq)

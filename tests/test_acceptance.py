@@ -53,7 +53,7 @@ def analytic_reports():
             n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
             a=SparseMatrix.empty(0, 2), lin_bounds=Bounds.free(0),
             c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]),
-            b=[1.0], var_bounds=Bounds.box([-10.0, -10.0], [10.0, 10.0])),
+            b=[1.0], var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0])),
     }
     return {name: (p, solve(p, IpmConfig(max_iters=100)))
             for name, p in problems.items()}

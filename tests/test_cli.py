@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
-from qpipm.cli import (TRACE_HEADER, QpFileError, build_parser, load_qp_file,
-                       main, parse_qp_document, qp_document, read_trace,
-                       write_trace)
+from qpipm.cli import (TRACE_HEADER, QpFileError, _report_summary,
+                       build_parser, load_qp_file, main, parse_qp_document,
+                       qp_document, read_trace, write_trace)
 from qpipm.ipm import SolveStatus, TraceRecord, solve
-from qpipm.model import (DiagonalHessian, QuasiNewtonHessian, SparseHessian,
-                         box_qp)
+from qpipm.model import (BoundIndexMap, DiagonalHessian, QuasiNewtonHessian,
+                         SparseHessian, box_qp, validate_problem)
 
 
 def box_qp_doc():
@@ -86,6 +87,14 @@ class TestQpFile:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
         assert "'A.rows'" in capsys.readouterr().err
+
+    def test_ragged_bfgs_rows_named(self):
+        doc = box_qp_doc()
+        doc.update(n=2, p=[0.0, 0.0], lx=[0.0, 0.0], ux=[1.0, 1.0],
+                   hessian={"kind": "bfgs", "h0_diag": [1.0, 1.0],
+                            "u": [[1.0], [1.0, 2.0]], "w": [1.0]})
+        with pytest.raises(QpFileError, match="'hessian.u' has inconsistent row lengths"):
+            parse_qp_document(doc)
 
     def test_readme_example_solves(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -184,6 +193,19 @@ class TestSolveQpCommand:
         assert main(["solve-qp", str(path)]) == 1
         assert "inverted bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("member, value, message", [
+        ("lx", math.inf, "empty bound: var_bounds[0]"),
+        ("ux", -math.inf, "empty bound: var_bounds[0]"),
+        ("ux", math.nan, "non-finite data (NaN) in var_bounds.upper"),
+    ])
+    def test_bad_bound_is_input_error(self, member, value, message, tmp_path, capsys):
+        doc = box_qp_doc()
+        doc[member] = [value]
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+        assert main(["solve-qp", str(path)]) == 1
+        assert f"invalid problem: {message}" in capsys.readouterr().err
+
     def test_file_not_found(self, capsys):
         assert main(["solve-qp", "/no/such/file.json"]) == 1
 
@@ -191,6 +213,21 @@ class TestSolveQpCommand:
         assert main(["solve-qp", qp_path, "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "iter " in out and "mu " in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(p=[math.inf]),
+        lambda d: d.update(hessian={"kind": "diagonal", "d": [math.inf]}),
+        lambda d: d.update(A={"rows": [0], "cols": [0], "vals": [math.inf]},
+                           l=[0.0], u=[1.0]),
+        lambda d: d.update(C={"rows": [0], "cols": [0], "vals": [1.0]}, b=[math.inf]),
+    ], ids=["p", "hessian.d", "A.vals", "b"])
+    def test_infinite_data_is_input_error(self, edit, tmp_path, capsys):
+        doc = box_qp_doc()
+        edit(doc)
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))  # json writes inf as Infinity
+        assert main(["solve-qp", str(path)]) == 1
+        assert "invalid problem: non-finite data (inf)" in capsys.readouterr().err
 
     def test_iteration_limit_exit_code(self, qp_path):
         assert main(["solve-qp", qp_path, "--max-iter", "1"]) == 2
@@ -233,6 +270,14 @@ class TestSolveSvmCommand:
         assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1"]) == 1
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_parse_error(self, value, tmp_path, capsys):
+        data = tmp_path / "nonfinite.svm"
+        data.write_text(f"+1 1:1\n-1 1:{value}\n")
+        assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1"]) == 1
+        assert "error: line 2: non-finite feature value" in capsys.readouterr().err
+
+
 class TestCheckCommand:
     def test_valid(self, qp_path, capsys):
         assert main(["check", qp_path]) == 0
@@ -270,3 +315,52 @@ class TestFlagDefaults:
                               ("--cg-tol", "1e-07"), ("--cg-maxit", "5000")):
             assert flag in out
             assert default in out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve-qp", ["--gamma", "1.5"]),
+    ("solve-qp", ["--cg-maxit", "0"]),
+    ("solve-qp", ["--cg-tol", "0"]),
+    ("solve-qp", ["--mu-tol", "-1"]),
+    ("solve-qp", ["--mu-init", "0"]),
+    ("solve-qp", ["--mu-init", "nan"]),
+    ("solve-qp", ["--cg-tol", "nan"]),
+    ("solve-qp", ["--max-iter", "-3"]),
+    ("solve-svm", ["--sigma", "0", "--c", "1"]),
+    ("solve-svm", ["--sigma", "nan", "--c", "1"]),
+    ("solve-svm", ["--sigma", "1", "--c", "-1"]),
+], ids=["gamma", "cg-maxit", "cg-tol", "mu-tol", "mu-init", "mu-init-nan",
+        "cg-tol-nan", "max-iter", "sigma", "sigma-nan", "c"])
+def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, capsys):
+    path = qp_path
+    if command == "solve-svm":
+        path = tmp_path / "tiny.svm"
+        path.write_text("+1 1:1\n-1 2:1\n")
+    assert main([command, str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestLayoutBuiltOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = BoundIndexMap.from_problem
+
+        def counting(problem):
+            calls.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(BoundIndexMap, "from_problem", counting)
+        return calls
+
+    def test_setup_builds_no_layout(self, qp_path, builds):
+        assert validate_problem(load_qp_file(qp_path)) == []
+        box_qp(DiagonalHessian([1.0, 2.0]), [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0])
+        assert builds == []
+
+    def test_solve_and_summary_share_one_layout(self, qp_path, builds):
+        problem = load_qp_file(qp_path)
+        report = solve(problem)
+        _report_summary(report, problem)
+        assert builds == [problem]

@@ -21,7 +21,7 @@ def equality_problem():
         n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
         a=SparseMatrix.empty(0, 2), lin_bounds=Bounds.free(0),
         c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]), b=[1.0],
-        var_bounds=Bounds.box([-10.0, -10.0], [10.0, 10.0]))
+        var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0]))
 
 
 def direction_from_dense_oracle(op, rhs, pcg_cfg):
@@ -316,14 +316,17 @@ def test_update_barrier_properties(mu, rnorm):
 
 
 def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
-    """B and B' are built once per solve, not per IPM or PCG iteration."""
+    """B and B' are built once per problem, not per IPM or PCG iteration.
+    Each solve gets a fresh problem, since a problem keeps its layout."""
     import scipy.sparse as sp
-    problem = QpProblem(
-        n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
-        a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
-        lin_bounds=Bounds([-1.0, -2.0], [1.0, 2.0]),
-        c=sparse_from_dense([[1.0, 0.0, 1.0]]), b=[0.5],
-        var_bounds=Bounds.box([-5.0] * 3, [5.0] * 3))
+
+    def problem():
+        return QpProblem(
+            n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
+            a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+            lin_bounds=Bounds([-1.0, -2.0], [1.0, 2.0]),
+            c=sparse_from_dense([[1.0, 0.0, 1.0]]), b=[0.5],
+            var_bounds=Bounds([-5.0] * 3, [5.0] * 3))
     original = sp.csr_matrix.transpose
     counts = []
 
@@ -334,6 +337,6 @@ def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
     monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
     for max_iters in (2, 6):
         counts.append(0)
-        report = solve(problem, IpmConfig(max_iters=max_iters))
+        report = solve(problem(), IpmConfig(max_iters=max_iters))
         assert report.iterations == max_iters
     assert counts[0] == counts[1]

@@ -8,11 +8,11 @@ from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
                      dense_hessian, dense_solve, make_state, random_interior_state,
                      random_problem, sparse_from_dense)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
-from qpipm.kkt import (BoundIndexMap, apply_doubly_augmented, assemble_rhs,
-                       build_operator, compute_residuals, jacobi_diagonal,
-                       preconditioner, recover_directions)
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                         SparseMatrix, box_qp)
+from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
+                       compute_residuals, jacobi_diagonal, preconditioner,
+                       recover_directions)
+from qpipm.model import (BoundIndexMap, Bounds, DiagonalHessian, QpProblem,
+                         QuasiNewtonHessian, SparseMatrix, box_qp)
 
 
 def make_instances(rng, count, **kw):

@@ -7,8 +7,8 @@ from oracles import rbf_kernel, sparse_to_dense
 from qpipm.ipm import SolveStatus, solve
 from qpipm.model import DenseHessian, validate_problem
 from qpipm.svm import (DegenerateModelError, SparseVector, SvmConfig,
-                       SvmDataset, SvmParseError, build_svm_dual, extract_model,
-                       parse_libsvm, predict, training_accuracy)
+                       SvmDataset, SvmModel, SvmParseError, build_svm_dual,
+                       extract_model, parse_libsvm, predict, training_accuracy)
 
 
 def vec(pairs):
@@ -153,10 +153,18 @@ class TestTrainAndPredict:
     def test_midpoint_ties_to_plus_one(self):
         data = two_point_dataset()
         cfg = SvmConfig(sigma=1.0, c=10.0)
+        midpoint = vec([(0, 0.5), (1, 0.5)])
         _, model = self.train(data, cfg)
-        score, label = predict(model, vec([(0, 0.5), (1, 0.5)]))
-        assert score == pytest.approx(0.0, abs=1e-4)
-        assert label == 1
+        assert predict(model, midpoint)[0] == pytest.approx(0.0, abs=1e-4)
+        # the trained bias is only near 0, so the tie is built exactly: equal
+        # weights on the two support vectors and bias 0 give the score 0.0
+        for a in (0.3, 1.0, 7.77):
+            tied = SvmModel(alpha=np.array([a, a]), bias=0.0,
+                            support_indices=np.array([0, 1]), dataset=data,
+                            config=cfg)
+            score, label = predict(tied, midpoint)
+            assert score == 0.0
+            assert label == 1
 
     def test_free_support_vectors_sit_on_margin(self, rng):
         lines = []
