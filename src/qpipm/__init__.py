@@ -1,9 +1,10 @@
 """Matrix-free interior point solver for convex quadratic programs.
 
 Newton directions come from the doubly augmented KKT system, solved with
-preconditioned conjugate gradients: a quasi-Newton Hessian's low-rank part
-is kept whole in the preconditioner (Woodbury), every other Hessian uses
-Jacobi. Includes an SVM dual frontend and a CLI with per-iteration
+preconditioned conjugate gradients. The preconditioner keeps a quasi-Newton
+Hessian's low-rank part and the dominant rows of the constraint operator
+whole (Woodbury) and the rest of the system on its diagonal (Jacobi).
+Includes an SVM dual frontend and a CLI with per-iteration
 diagnostics.
 """
 

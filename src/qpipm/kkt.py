@@ -7,7 +7,10 @@ m_rows entries are the inequality rows of B = (C; A_l; -A_u) and go into D;
 the rest are var_sign * x[var_idx] (+1 lower, -1 upper) and go into Q's
 diagonal. g0 = (l, -u, lx, -ux) on the finite entries. The Newton system is
 never formed: each operator application uses one product with H, B and B'.
-B, B' and diag(H) are built once per problem (``QpProblem.layout``).
+B, B' and diag(H) are built once per problem (``QpProblem.layout``). The
+PCG preconditioner keeps the Hessian's low-rank term and the dominant rows
+of B whole and applies its inverse with the Woodbury identity; the rest of
+the top block is cut to its diagonal (``preconditioner``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import QpProblem, hessian_apply
+from .model import BoundIndexMap, QpProblem, hessian_apply
 
 
 def _multiplier_view(family: int) -> property:
@@ -161,12 +164,9 @@ def jacobi_diagonal(op: KktOperator) -> np.ndarray:
     Top block: diag(Q) + 2 sum_i B_ij^2 / D_ii; the rows of A with both
     bounds finite contribute twice, once per family. Bottom block: D.
     """
-    return np.concatenate([_top_diagonal(op, op.problem.layout.h_diag), op.d_diag])
-
-
-def _top_diagonal(op: KktOperator, h_part: np.ndarray) -> np.ndarray:
-    """h_part + q_diag_extra + diag(2B'D^{-1}B)."""
-    return h_part + op.q_diag_extra + 2.0 * (op.problem.layout.bt_sq @ (1.0 / op.d_diag))
+    layout = op.problem.layout
+    top = layout.h_diag + op.q_diag_extra + 2.0 * (layout.bt_sq @ (1.0 / op.d_diag))
+    return np.concatenate([top, op.d_diag])
 
 
 # U' diag(1/T) U is summed over row blocks of U of about 2^15 entries: the
@@ -174,54 +174,117 @@ def _top_diagonal(op: KktOperator, h_part: np.ndarray) -> np.ndarray:
 # cache (2^15 took 12 ms at n=200000, k=20, one thread; 2^18 took 21 ms)
 _GRAM_BLOCK_ENTRIES = 1 << 15
 
+# At most this many rows of B are kept whole in the preconditioner; the rest
+# fold into its diagonal. The capacitance matrix and its inverse are then at
+# most (k + 1024)^2 doubles each, about 17 MB together for k = 20.
+_MAX_KEPT_ROWS = 1024
+
 
 def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     """v -> M^{-1} v for PCG on the doubly augmented system.
 
-    With (d, U, w) = ``hessian.low_rank()`` and k >= 1,
-    M = blockdiag(T + U diag(w) U', D), T = d + q_diag_extra + diag(2B'D^{-1}B):
-    the Jacobi top block with the low-rank part kept whole. k = 0, a T with
-    an entry <= 0 (Woodbury divides by T) and a singular capacitance matrix
-    get Jacobi, M = diag(jacobi_diagonal(op)) with entries <= 0 or NaN set to 1.
+    With (d, U, w) = ``hessian.low_rank()``, M = blockdiag(T + V S V', D),
+    V = [U, B_k'] and S = diag(w, 2/D_k): the Hessian's low-rank term and the
+    dominant rows B_k of B are kept whole, every other term of the top block
+    Q + 2B'D^{-1}B is cut to its diagonal T. Row i is dominant when
+    (2/D_i) max_j B_ij^2 / T0_j > 1, T0 = d + q_diag_extra, i.e. when its term
+    outweighs a diagonal entry without any B row's term; at most
+    ``_MAX_KEPT_ROWS`` rows are kept, those with the largest ratio.
+    T = T0 + diag(2B'D^{-1}B) over the other rows. Each application makes
+    two passes over U, one product with B_k and one with B'.
+
+    With k = 0 and no row kept this is Jacobi. So are the fallbacks when T
+    has an entry <= 0 (Woodbury divides by T) or the capacitance matrix is
+    singular: M = diag(jacobi_diagonal(op)), entries <= 0 or NaN set to 1.
     """
+    layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()
-    if len(w):
-        # T from d directly: jacobi_diagonal - sum_j w_j u_j^2 would cancel
-        t = _top_diagonal(op, d)
+    t = d + op.q_diag_extra
+    kept = np.zeros(0, dtype=np.intp)
+    if len(op.d_diag):
+        inv_d = 1.0 / op.d_diag
+        kept = _dominant_rows(layout.b, t, inv_d)
+        inv_d[kept] = 0.0
+        # the folded rows' terms added directly: subtracting the kept rows'
+        # terms from jacobi_diagonal would cancel
+        t += 2.0 * (layout.bt_sq @ inv_d)
+    if not (len(w) or len(kept)):
+        diag = np.concatenate([t, op.d_diag])  # T is the Jacobi top block here
+    else:
         if np.all(t > 0):
             try:
-                return _woodbury_inverse(u, w, t, op.d_diag)
+                return _woodbury_inverse(u, w, t, op.d_diag, layout, kept)
             except np.linalg.LinAlgError:
-                pass  # then T + UWU' is singular too
-    diag = jacobi_diagonal(op)
+                pass  # then T + VSV' is singular too
+        diag = jacobi_diagonal(op)
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
     return lambda v: inv_diag * v
 
 
-def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray,
-                      d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> blockdiag(diag(t) + U diag(w) U', diag(d))^{-1} v, matrix-free.
+def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows i of b with 2 inv_d_i max_j b_ij^2 / t0_j > 1,
+    the ``_MAX_KEPT_ROWS`` largest if more. Columns with t0_j <= 0 are skipped."""
+    inv_t0 = np.divide(1.0, t0, out=np.zeros_like(t0), where=t0 > 0)
+    entries = b.data * b.data * inv_t0[b.indices]
+    starts = b.indptr[:-1]
+    nonempty = b.indptr[1:] > starts
+    row_max = np.zeros(b.shape[0])
+    if len(entries):
+        row_max[nonempty] = np.maximum.reduceat(entries, starts[nonempty])
+    ratio = 2.0 * inv_d * row_max
+    kept = np.flatnonzero(ratio > 1.0)
+    if len(kept) > _MAX_KEPT_ROWS:
+        strongest = np.argpartition(ratio[kept], -_MAX_KEPT_ROWS)[-_MAX_KEPT_ROWS:]
+        kept = np.sort(kept[strongest])
+    return kept
 
-    (T + UWU')^{-1} r = y - T^{-1} U c with y = T^{-1} r and
-    (I + W G) c = W U'y, G = U' T^{-1} U. The k-by-k capacitance I + WG needs
-    no W^{-1}, so zero or negative weights are fine, and by Sylvester's
-    determinant identity it is singular only when T + UWU' is; it is
-    inverted here, once, and raises LinAlgError then. Each application
-    makes two passes over U.
+
+def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray, d: np.ndarray,
+                      layout: BoundIndexMap, kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> blockdiag(diag(t) + V S V', diag(d))^{-1} v, matrix-free, with
+    V = [U, B_k'], S = diag(w, 2/d_k) and B_k the kept rows of layout.b.
+
+    (T + VSV')^{-1} r = y - T^{-1} V c with y = T^{-1} r and
+    Cap c = (w U'y, B_k y), where G = V' T^{-1} V and
+    Cap = [[I + W G_uu, W G_ub], [G_bu, D_k/2 + G_bb]] (I + SG with its B_k
+    rows scaled by D_k/2). Cap needs neither W^{-1} nor 2/D_k, so zero or
+    negative weights and D_k -> 0 are fine, and by Sylvester's determinant
+    identity it is singular only when T + VSV' is; it is inverted here,
+    once, and raises LinAlgError then.
     """
     n, k = u.shape
+    m_k = len(kept)
     t_inv = 1.0 / t
-    gram = np.zeros((k, k))
-    rows = max(1, _GRAM_BLOCK_ENTRIES // k)
-    for lo in range(0, n, rows):
-        block = u[lo:lo + rows]
-        gram += block.T @ (block * t_inv[lo:lo + rows, None])
-    cap_inv = np.linalg.inv(np.eye(k) + w[:, None] * gram)
+    cap = np.zeros((k + m_k, k + m_k))
+    if k:
+        gram = np.zeros((k, k))
+        rows = max(1, _GRAM_BLOCK_ENTRIES // k)
+        for lo in range(0, n, rows):
+            block = u[lo:lo + rows]
+            gram += block.T @ (block * t_inv[lo:lo + rows, None])
+        cap[:k, :k] = w[:, None] * gram
+    if m_k:
+        b_k = layout.b[kept]
+        scaled = b_k.copy()
+        scaled.data *= t_inv[scaled.indices]  # B_k T^{-1}
+        g_bu = scaled @ u
+        cap[:k, k:] = w[:, None] * g_bu.T
+        cap[k:, :k] = g_bu
+        # B_k' as columns of B': transposing B_k would build a new matrix
+        g_bb = (scaled @ layout.bt[:, kept]).tocoo()
+        cap[k + g_bb.row, k + g_bb.col] = g_bb.data
+        cap[k + np.arange(m_k), k + np.arange(m_k)] += 0.5 * d[kept]
+    cap[np.arange(k), np.arange(k)] += 1.0
+    cap_inv = np.linalg.inv(cap)
 
     def apply(v: np.ndarray) -> np.ndarray:
         y = v[:n] / t
-        c = cap_inv @ (w * (u.T @ y))
-        correction = u @ c
+        c = cap_inv @ np.concatenate([w * (u.T @ y), b_k @ y if m_k else ()])
+        correction = u @ c[:k]
+        if m_k:
+            pad = np.zeros(len(d))
+            pad[kept] = c[k:]
+            correction += layout.bt @ pad
         correction /= t
         y -= correction
         return np.concatenate([y, v[n:] / d])

@@ -208,7 +208,8 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
     The decision values reuse the dual Hessian H of ``build_svm_dual``; it is
     built here only if ``data`` holds none for ``cfg.sigma``."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    tau = 1e-5 * cfg.c
+    # hard margin (c = inf): the threshold scales with the largest alpha instead
+    tau = 1e-5 * (cfg.c if np.isfinite(cfg.c) else alpha.max())
     support = np.where(alpha > tau)[0]
     if len(support) == 0:
         raise DegenerateModelError("no support vectors (all alpha at zero)")

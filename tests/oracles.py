@@ -385,6 +385,40 @@ class DenseParts:
                                *np.split(d.ds, self.ends)])
 
 
+def dense_preconditioner(problem: QpProblem, state: IterateState):
+    """(blockdiag(T + V S V', D), kept rows of B) from the dense blocks, entry by entry.
+
+    H = diag(d) + U diag(w) U' (k = 0 unless quasi-Newton); T0 = d plus the
+    variable-bound terms; row i of B is kept when (2/D_i) B_ij^2 / T0_j > 1
+    for some j with T0_j > 0; T = T0 plus 2 B_ij^2 / D_i of every other row;
+    V = [U, B_k'], S = diag(w, 2/D_k).
+    """
+    parts = DenseParts(problem, state)
+    _, b, d, _, _ = parts.reduced_blocks()
+    h, st, n = problem.hessian, parts.state, problem.n
+    if isinstance(h, QuasiNewtonHessian):
+        t0, u, w = h.h0_diag.copy(), h.u, h.w
+    else:
+        t0, u, w = np.diag(parts.h).copy(), np.zeros((n, 0)), np.zeros(0)
+    t0 += np.diag(parts.p_l.T @ np.diag(st.lam_lx / st.s_lx) @ parts.p_l
+                  + parts.p_u.T @ np.diag(st.lam_ux / st.s_ux) @ parts.p_u)
+    kept = [i for i in range(len(d))
+            if any(t0[j] > 0 and 2.0 / d[i] * b[i, j] ** 2 / t0[j] > 1.0
+                   for j in range(n))]
+    t = t0.copy()
+    top = u @ np.diag(w) @ u.T
+    for i in range(len(d)):
+        if i in kept:
+            top += 2.0 / d[i] * np.outer(b[i], b[i])
+        else:
+            for j in range(n):
+                t[j] += 2.0 * b[i, j] ** 2 / d[i]
+    m = np.zeros((n + len(d),) * 2)
+    m[:n, :n] = np.diag(t) + top
+    m[n:, n:] = np.diag(d)
+    return m, kept
+
+
 def random_sparse(rng, m, n, density=0.5) -> SparseMatrix:
     mask = rng.random((m, n)) < density
     a = np.where(mask, rng.standard_normal((m, n)), 0.0)

@@ -256,6 +256,19 @@ class TestSolveSvmCommand:
         assert "bias" in doc and "support_indices" in doc
         assert "training accuracy" in capsys.readouterr().out
 
+    def test_hard_margin_reports_a_bias(self, tmp_path, capsys):
+        data = tmp_path / "tiny.svm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        sol = str(tmp_path / "model.json")
+        code = main(["solve-svm", str(data), "--sigma", "1", "--c", "inf",
+                     "--solution", sol])
+        assert code == 0
+        doc = json.load(open(sol))
+        assert math.isfinite(doc["bias"]) and doc["support_indices"] == [0, 1]
+        captured = capsys.readouterr()
+        assert "(2 support vectors)" in captured.out
+        assert "warning" not in captured.err
+
     def test_missing_sigma_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "tiny.svm"
         data.write_text("+1 1:1\n-1 2:1\n")

@@ -12,7 +12,7 @@ from qpipm.kkt import (FullDirection, Residuals, compute_residuals,
                        recover_directions, build_operator)
 from qpipm.linalg import PcgConfig, PcgResult
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseMatrix, box_qp)
+                         QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp)
 
 
 def equality_problem():
@@ -340,3 +340,31 @@ def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
         report = solve(problem(), IpmConfig(max_iters=max_iters))
         assert report.iterations == max_iters
     assert counts[0] == counts[1]
+
+
+def test_sparse_hessian_stand_in_converges_without_capped_cg(monkeypatch):
+    """The benchmark's sparse QP family with H = M'M + 0.1I: a strongly
+    non-diagonal 2B'D^{-1}B term as D -> 0, on which Jacobi-preconditioned PCG
+    hit its cap (38,942 CG in total) before B's dominant rows were kept whole
+    in the preconditioner."""
+    import scipy.sparse as sp
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import _sparse_qp_instance
+
+    q = _sparse_qp_instance(np.random.default_rng(7), 400, 20, 100)
+    m = sp.random(400, 400, density=5 / 400, random_state=3)
+    h = (m.T @ m + 0.1 * sp.eye(400)).tocoo()
+
+    def matrix(a):
+        a = a.tocoo()
+        return SparseMatrix.from_coo(a.shape[0], a.shape[1], a.row, a.col, a.data)
+
+    problem = QpProblem(n=400, hessian=SparseHessian(matrix(h)), p=q["p"],
+                        a=matrix(q["a"]), lin_bounds=Bounds(q["l"], q["u"]),
+                        c=matrix(q["c"]), b=q["b"], var_bounds=Bounds(q["lx"], q["ux"]))
+    report = solve(problem)
+    assert report.status is SolveStatus.CONVERGED
+    assert sum(t.cg_iters for t in report.trace) <= 2000
+    assert all(t.cg_iters < PcgConfig().max_iters for t in report.trace)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
-                     dense_hessian, dense_solve, make_state, random_interior_state,
-                     random_problem, sparse_from_dense)
+                     dense_hessian, dense_preconditioner, dense_solve, make_state,
+                     random_interior_state, random_problem, sparse_from_dense)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
 from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
                        compute_residuals, jacobi_diagonal, preconditioner,
@@ -299,21 +299,6 @@ class TestRecoverDirections:
                 got, full, rtol=1e-8, atol=1e-8 * (1.0 + np.abs(full).max()))
 
 
-def _dense_preconditioner_matrix(problem, state):
-    """blockdiag(T + U diag(w) U', D) from the dense blocks, T taken entry by entry."""
-    parts = DenseParts(problem, state)
-    _, b, d, _, _ = parts.reduced_blocks()
-    h, st = problem.hessian, parts.state
-    bound_terms = (parts.p_l.T @ np.diag(st.lam_lx / st.s_lx) @ parts.p_l
-                   + parts.p_u.T @ np.diag(st.lam_ux / st.s_ux) @ parts.p_u
-                   + 2.0 * b.T @ np.diag(1.0 / d) @ b)
-    t = h.h0_diag + np.diag(bound_terms)
-    m = np.zeros((problem.n + len(d),) * 2)
-    m[:problem.n, :problem.n] = np.diag(t) + h.u @ np.diag(h.w) @ h.u.T
-    m[problem.n:, problem.n:] = np.diag(d)
-    return m
-
-
 def _indefinite_weight_hessian(rng, n):
     """H = h0 I + U diag(w) U' with one negative weight, h0 large enough for H > 0."""
     u = rng.standard_normal((n, 3))
@@ -326,7 +311,7 @@ class TestPreconditioner:
     def test_matches_dense_inverse_on_quasi_newton(self, rng):
         for problem, state in make_instances(rng, 20, hessian_kind="bfgs"):
             op = build_operator(problem, state)
-            m = _dense_preconditioner_matrix(problem, state)
+            m, _ = dense_preconditioner(problem, state)
             for _ in range(3):
                 v = rng.standard_normal(op.dim)
                 np.testing.assert_allclose(preconditioner(op)(v),
@@ -340,7 +325,7 @@ class TestPreconditioner:
             assert np.linalg.eigvalsh(dense_hessian(problem.hessian)).min() > 0
             state = random_interior_state(rng, problem)
             op = build_operator(problem, state)
-            m = _dense_preconditioner_matrix(problem, state)
+            m, _ = dense_preconditioner(problem, state)
             v = rng.standard_normal(op.dim)
             np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
                                        rtol=1e-10, atol=1e-12)
@@ -348,14 +333,54 @@ class TestPreconditioner:
     @pytest.mark.parametrize("kind", ["diagonal", "sparse", "dense", "bfgs_k0"])
     def test_other_hessians_keep_jacobi_bitwise(self, rng, kind):
         for _ in range(5):
-            problem = random_problem(rng, n=7, hessian_kind=kind)
+            problem = random_problem(rng, n=7, m_e=0, hessian_kind=kind)
             if kind == "bfgs_k0":
                 problem = replace(problem, hessian=QuasiNewtonHessian(
                     rng.uniform(0.5, 2.0, 7), np.zeros((7, 0)), np.zeros(0)))
-            op = build_operator(problem, random_interior_state(rng, problem))
+            state = random_interior_state(rng, problem)
+            # large slacks on the rows of B: every D_i is large, no row dominates
+            m = problem.layout.m_rows
+            state = replace(state, s=np.concatenate([1e3 * state.s[:m], state.s[m:]]))
+            assert dense_preconditioner(problem, state)[1] == []
+            op = build_operator(problem, state)
             v = rng.standard_normal(op.dim)
             np.testing.assert_array_equal(preconditioner(op)(v),
                                           (1.0 / jacobi_diagonal(op)) * v)
+
+    def test_dominant_row_is_kept_and_weak_row_folded(self):
+        # H = I, no variable bounds (T0 = 1), D = 1. Row 0 = (2, 2):
+        # 2 * 4 / 1 = 8 > 1, kept whole. Row 1 = (0.5, 0.5): 2 * 0.25 = 0.5,
+        # folded into T = 1 + 0.5. With the full Jacobi diagonal 9.5 in place
+        # of T0, row 0's ratio 8 / 9.5 would fall below 1.
+        problem = QpProblem(
+            n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+            a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
+            lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
+            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+        state = make_state([0.0, 0.0], 0.1, s_lA=[1.0, 1.0], lam_lA=[1.0, 1.0])
+        m, kept = dense_preconditioner(problem, state)
+        assert kept == [0]
+        np.testing.assert_allclose(m[:2, :2], [[9.5, 8.0], [8.0, 9.5]])
+        op = build_operator(problem, state)
+        v = np.array([1.0, -2.0, 0.5, 3.0])
+        np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
+                                   rtol=1e-12)
+        assert not np.allclose(preconditioner(op)(v), (1.0 / jacobi_diagonal(op)) * v)
+
+    def test_quasi_newton_with_kept_rows_matches_dense_inverse(self, rng):
+        checked = 0
+        for problem, state in make_instances(rng, 20, n=8, m_a=5, m_e=2,
+                                             hessian_kind="bfgs"):
+            m, kept = dense_preconditioner(problem, state)
+            if not kept:
+                continue
+            assert problem.hessian.u.shape[1] >= 1
+            checked += 1
+            op = build_operator(problem, state)
+            v = rng.standard_normal(op.dim)
+            np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
+                                       rtol=1e-10, atol=1e-12)
+        assert checked >= 10
 
     def test_nonpositive_t_falls_back_to_jacobi(self):
         # h0 = 0 on a free variable: T_0 = 0, while diag(H)_0 = 1 > 0

@@ -166,6 +166,15 @@ class TestTrainAndPredict:
             assert score == 0.0
             assert label == 1
 
+    def test_hard_margin_keeps_both_support_vectors(self):
+        # c = inf: a support-vector threshold proportional to c would be inf
+        data = two_point_dataset()
+        cfg = SvmConfig(sigma=1.0, c=np.inf)
+        _, model = self.train(data, cfg)
+        np.testing.assert_array_equal(model.support_indices, [0, 1])
+        for x, y in zip(data.samples, data.labels):
+            assert predict(model, x)[1] == y
+
     def test_free_support_vectors_sit_on_margin(self, rng):
         lines = []
         for i in range(16):
