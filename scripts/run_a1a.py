@@ -2,10 +2,12 @@
 """Train the SVM dual on a1a and write the per-iteration trace CSV.
 
 Usage: python scripts/run_a1a.py [--sigma S] [--c C] [--trace PATH]
-Expects the dataset at data/a1a (see scripts/fetch_a1a.py).
+Reads the dataset from $QPIPM_A1A if set, else from data/a1a (see
+scripts/fetch_a1a.py).
 """
 
 import argparse
+import os
 from pathlib import Path
 
 from qpipm.cli import main as cli_main
@@ -20,7 +22,7 @@ def main() -> int:
     ap.add_argument("--trace", default=str(ROOT / "a1a_trace.csv"))
     ap.add_argument("--solution", default=str(ROOT / "a1a_model.json"))
     args = ap.parse_args()
-    data = ROOT / "data" / "a1a"
+    data = Path(os.environ.get("QPIPM_A1A") or ROOT / "data" / "a1a")
     if not data.exists():
         print(f"dataset missing at {data}; run scripts/fetch_a1a.py first")
         return 1

@@ -126,6 +126,8 @@ def _hessian(doc, n):
         coo = {key: doc[key] for key in _COO_MEMBERS if key in doc}
         return SparseHessian(_coo_matrix(coo, "hessian", n, n))
     h0 = _real_array(_required(doc, "h0_diag"), "hessian.h0_diag")
+    if len(h0) != n:
+        raise QpFileError("member 'hessian.h0_diag' has wrong length")
     w = _real_array(_required(doc, "w"), "hessian.w")
     u_rows = _required(doc, "u")
     if not isinstance(u_rows, list) or len(u_rows) != n:
@@ -161,10 +163,12 @@ def parse_qp_document(doc: dict) -> QpProblem:
 
 def load_qp_file(path: str) -> QpProblem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise QpFileError(f"cannot read '{path}': {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise QpFileError(f"'{path}' is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise QpFileError(f"'{path}' is not valid JSON: {exc}") from exc
     return parse_qp_document(doc)
@@ -325,7 +329,7 @@ def cmd_solve_svm(args) -> int:
 def cmd_check(args) -> int:
     try:
         problem = load_qp_file(args.file)
-    except QpFileError as exc:
+    except ValueError as exc:  # QpFileError or a DimensionError from a part of the problem
         return _input_error(exc)
     violations = validate_problem(problem)
     if violations:

@@ -7,10 +7,10 @@ m_rows entries are the inequality rows of B = (C; A_l; -A_u) and go into D;
 the rest are var_sign * x[var_idx] (+1 lower, -1 upper) and go into Q's
 diagonal. g0 = (l, -u, lx, -ux) on the finite entries. The Newton system is
 never formed: each operator application uses one product with H, B and B'.
-B, B' and diag(H) are built once per problem (``QpProblem.layout``). The
-PCG preconditioner keeps the Hessian's low-rank term and the dominant rows
-of B whole and applies its inverse with the Woodbury identity; the rest of
-the top block is cut to its diagonal (``preconditioner``).
+B and B' are built once per problem (``QpProblem.layout``). The PCG
+preconditioner keeps the Hessian's low-rank term and the dominant rows of B
+whole and applies its inverse with the Woodbury identity; the rest of the
+top block is cut to its diagonal. With nothing kept whole it is Jacobi.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import BoundIndexMap, QpProblem, hessian_apply
+from .model import BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal
 
 
 def _multiplier_view(family: int) -> property:
@@ -161,11 +161,11 @@ def apply_doubly_augmented(op: KktOperator, v: np.ndarray) -> np.ndarray:
 def jacobi_diagonal(op: KktOperator) -> np.ndarray:
     """Diagonal of the doubly augmented matrix, computed matrix-free.
 
-    Top block: diag(Q) + 2 sum_i B_ij^2 / D_ii; the rows of A with both
-    bounds finite contribute twice, once per family. Bottom block: D.
+    Top block: diag(Q) + 2 sum_i B_ij^2 / D_ii, diag(H) computed per call;
+    the rows of A with both bounds finite contribute twice. Bottom block: D.
     """
-    layout = op.problem.layout
-    top = layout.h_diag + op.q_diag_extra + 2.0 * (layout.bt_sq @ (1.0 / op.d_diag))
+    top = hessian_diagonal(op.problem.hessian) + op.q_diag_extra \
+        + 2.0 * (op.problem.layout.bt_sq @ (1.0 / op.d_diag))
     return np.concatenate([top, op.d_diag])
 
 
@@ -181,7 +181,7 @@ _MAX_KEPT_ROWS = 1024
 
 
 def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> M^{-1} v for PCG on the doubly augmented system.
+    """v -> M^{-1} v for PCG on the doubly augmented system, by ``_woodbury_inverse``.
 
     With (d, U, w) = ``hessian.low_rank()``, M = blockdiag(T + V S V', D),
     V = [U, B_k'] and S = diag(w, 2/D_k): the Hessian's low-rank term and the
@@ -190,35 +190,29 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     (2/D_i) max_j B_ij^2 / T0_j > 1, T0 = d + q_diag_extra, i.e. when its term
     outweighs a diagonal entry without any B row's term; at most
     ``_MAX_KEPT_ROWS`` rows are kept, those with the largest ratio.
-    T = T0 + diag(2B'D^{-1}B) over the other rows. Each application makes
-    two passes over U, one product with B_k and one with B'.
+    T = T0 + diag(2B'D^{-1}B) over the other rows.
 
-    With k = 0 and no row kept this is Jacobi. So are the fallbacks when T
-    has an entry <= 0 (Woodbury divides by T) or the capacitance matrix is
-    singular: M = diag(jacobi_diagonal(op)), entries <= 0 or NaN set to 1.
+    With k = 0 and no row kept, V is empty and M is Jacobi. When T has an
+    entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
+    M is Jacobi on ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
     """
     layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()
     t = d + op.q_diag_extra
-    kept = np.zeros(0, dtype=np.intp)
-    if len(op.d_diag):
-        inv_d = 1.0 / op.d_diag
-        kept = _dominant_rows(layout.b, t, inv_d)
-        inv_d[kept] = 0.0
-        # the folded rows' terms added directly: subtracting the kept rows'
-        # terms from jacobi_diagonal would cancel
-        t += 2.0 * (layout.bt_sq @ inv_d)
-    if not (len(w) or len(kept)):
-        diag = np.concatenate([t, op.d_diag])  # T is the Jacobi top block here
-    else:
-        if np.all(t > 0):
-            try:
-                return _woodbury_inverse(u, w, t, op.d_diag, layout, kept)
-            except np.linalg.LinAlgError:
-                pass  # then T + VSV' is singular too
-        diag = jacobi_diagonal(op)
-    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
-    return lambda v: inv_diag * v
+    inv_d = 1.0 / op.d_diag
+    kept = _dominant_rows(layout.b, t, inv_d)
+    inv_d[kept] = 0.0
+    # the folded rows' terms added directly: subtracting the kept rows'
+    # terms from jacobi_diagonal would cancel
+    t += 2.0 * (layout.bt_sq @ inv_d)
+    if np.all(t > 0):
+        try:
+            return _woodbury_inverse(u, w, t, op.d_diag, layout, kept)
+        except np.linalg.LinAlgError:
+            pass  # then T + VSV' is singular too
+    diag = jacobi_diagonal(op)
+    diag = np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
+    return _woodbury_inverse(u[:, :0], w[:0], diag[:op.n], diag[op.n:], layout, kept[:0])
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
@@ -250,11 +244,12 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray, d: np.ndarray
     rows scaled by D_k/2). Cap needs neither W^{-1} nor 2/D_k, so zero or
     negative weights and D_k -> 0 are fine, and by Sylvester's determinant
     identity it is singular only when T + VSV' is; it is inverted here,
-    once, and raises LinAlgError then.
+    once, and raises LinAlgError then. Each application makes two passes
+    over U and one product each with B_k and B_k'; with V empty, none.
     """
     n, k = u.shape
     m_k = len(kept)
-    t_inv = 1.0 / t
+    t_inv, d_inv = 1.0 / t, 1.0 / d
     cap = np.zeros((k + m_k, k + m_k))
     if k:
         gram = np.zeros((k, k))
@@ -265,29 +260,29 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray, d: np.ndarray
         cap[:k, :k] = w[:, None] * gram
     if m_k:
         b_k = layout.b[kept]
+        # B_k' as columns of B': transposing B_k would build a new matrix
+        bt_k = layout.bt[:, kept]
         scaled = b_k.copy()
         scaled.data *= t_inv[scaled.indices]  # B_k T^{-1}
         g_bu = scaled @ u
         cap[:k, k:] = w[:, None] * g_bu.T
         cap[k:, :k] = g_bu
-        # B_k' as columns of B': transposing B_k would build a new matrix
-        g_bb = (scaled @ layout.bt[:, kept]).tocoo()
+        g_bb = (scaled @ bt_k).tocoo()
         cap[k + g_bb.row, k + g_bb.col] = g_bb.data
         cap[k + np.arange(m_k), k + np.arange(m_k)] += 0.5 * d[kept]
     cap[np.arange(k), np.arange(k)] += 1.0
     cap_inv = np.linalg.inv(cap)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        y = v[:n] / t
-        c = cap_inv @ np.concatenate([w * (u.T @ y), b_k @ y if m_k else ()])
-        correction = u @ c[:k]
-        if m_k:
-            pad = np.zeros(len(d))
-            pad[kept] = c[k:]
-            correction += layout.bt @ pad
-        correction /= t
-        y -= correction
-        return np.concatenate([y, v[n:] / d])
+        y = t_inv * v[:n]
+        if k or m_k:
+            c = cap_inv @ np.concatenate([w * (u.T @ y), b_k @ y if m_k else ()])
+            correction = u @ c[:k]
+            if m_k:
+                correction += bt_k @ c[k:]
+            correction *= t_inv
+            y -= correction
+        return np.concatenate([y, d_inv * v[n:]])
 
     return apply
 

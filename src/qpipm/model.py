@@ -330,8 +330,8 @@ class BoundIndexMap:
     The stacked layout of the ``kkt`` module docstring: splits are the ends of the
     A-lower, A-upper and variable-lower blocks (splits[1] = m_rows); var_idx,
     var_sign and g0 as there. b = (C; A_l; -A_u) in CSR, bt its CSR transpose,
-    bt_sq = bt * bt elementwise, h_diag = diag(H). The only code that knows
-    the four bound families.
+    bt_sq = bt * bt elementwise. The only code that knows the four bound
+    families.
     """
 
     m_eq: int
@@ -342,7 +342,6 @@ class BoundIndexMap:
     b: sp.csr_matrix
     bt: sp.csr_matrix
     bt_sq: sp.csr_matrix
-    h_diag: np.ndarray
 
     @classmethod
     def from_problem(cls, problem: QpProblem) -> "BoundIndexMap":
@@ -363,9 +362,7 @@ class BoundIndexMap:
                                      -np.ones(len(var_upper))]),
             g0=np.concatenate([lin.lower[lin_lower], -lin.upper[lin_upper],
                                var.lower[var_lower], -var.upper[var_upper]]),
-            b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr(),
-            h_diag=hessian_diagonal(problem.hessian),
-        )
+            b=b, bt=bt, bt_sq=bt.multiply(bt).tocsr())
 
     @property
     def m_rows(self) -> int:

@@ -127,6 +127,8 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
                 raise SvmParseError(f"line {lineno}: malformed feature '{tok}'") from None
             if not math.isfinite(v):
                 raise SvmParseError(f"line {lineno}: non-finite feature value '{tok}'")
+            if i < 1:
+                raise SvmParseError(f"line {lineno}: feature index {i} out of range (indices are 1-based)")
             if i <= prev:
                 raise SvmParseError(f"line {lineno}: feature indices not strictly increasing")
             prev = i

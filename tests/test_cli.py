@@ -308,6 +308,28 @@ class TestCheckCommand:
         assert main(["check", "/no/such/file"]) == 1
 
 
+def _short_h0_diag(path):
+    doc = box_qp_doc()
+    doc.update(n=2, p=[0.0, 0.0], lx=[0.0, 0.0], ux=[1.0, 1.0],
+               hessian={"kind": "bfgs", "h0_diag": [1.0], "u": [[0.5], [0.5]], "w": [1.0]})
+    path.write_text(json.dumps(doc))
+    return "member 'hessian.h0_diag' has wrong length"
+
+
+def _undecodable(path):
+    path.write_bytes(json.dumps(box_qp_doc()).encode()[:-1] + b', "\xff": 1}')
+    return f"'{path}' is not UTF-8 text"
+
+
+@pytest.mark.parametrize("command", ["check", "solve-qp"])
+@pytest.mark.parametrize("write", [_short_h0_diag, _undecodable])
+def test_bad_file_is_named_input_error(command, write, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    message = write(path)
+    assert main([command, str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestFlagDefaults:
     def test_defaults_match_reference_values(self):
         parser = build_parser()

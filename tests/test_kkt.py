@@ -307,6 +307,20 @@ def _indefinite_weight_hessian(rng, n):
     return QuasiNewtonHessian(np.full(n, h0), u, w)
 
 
+class _CountingProducts:
+    """A matrix standing in for another that counts the products made with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __getitem__(self, key):
+        return self.matrix[key]
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
+
+
 class TestPreconditioner:
     def test_matches_dense_inverse_on_quasi_newton(self, rng):
         for problem, state in make_instances(rng, 20, hessian_kind="bfgs"):
@@ -367,6 +381,25 @@ class TestPreconditioner:
                                    rtol=1e-12)
         assert not np.allclose(preconditioner(op)(v), (1.0 / jacobi_diagonal(op)) * v)
 
+    def test_kept_rows_make_no_product_with_all_of_bt(self):
+        # the instance of test_dominant_row_is_kept_and_weak_row_folded: row 0
+        # is kept, row 1 folded, so B_k' is a strict part of B'
+        problem = QpProblem(
+            n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+            a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
+            lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
+            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+        state = make_state([0.0, 0.0], 0.1, s_lA=[1.0, 1.0], lam_lA=[1.0, 1.0])
+        m, kept = dense_preconditioner(problem, state)
+        assert kept == [0]
+        bt = _CountingProducts(problem.layout.bt)
+        problem.__dict__["layout"] = replace(problem.layout, bt=bt)  # cached_property slot
+        apply = preconditioner(build_operator(problem, state))
+        for v in np.eye(4):
+            np.testing.assert_allclose(apply(v), np.linalg.solve(m, v),
+                                       rtol=1e-12, atol=1e-15)
+        assert bt.products == 0
+
     def test_quasi_newton_with_kept_rows_matches_dense_inverse(self, rng):
         checked = 0
         for problem, state in make_instances(rng, 20, n=8, m_a=5, m_e=2,
@@ -391,6 +424,22 @@ class TestPreconditioner:
         np.testing.assert_array_equal(preconditioner(op)(v),
                                       (1.0 / jacobi_diagonal(op)) * v)
         assert solve(problem).status is SolveStatus.CONVERGED
+
+    def test_nonpositive_t_with_a_kept_row_falls_back_to_jacobi(self):
+        # T0 = h0 = (0, 1); the row (0, 2) is kept (ratio 2 * 4 / 1 = 8), so
+        # T = T0 keeps its 0 and M is Jacobi on the full diagonal
+        problem = QpProblem(
+            n=2, hessian=QuasiNewtonHessian([0.0, 1.0], [[1.0], [1.0]], [1.0]),
+            p=[0.0, 1.0], a=sparse_from_dense([[0.0, 2.0]]),
+            lin_bounds=Bounds([0.0], [np.inf]),
+            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+        state = make_state([0.0, 1.0], 0.1, s_lA=[1.0], lam_lA=[1.0])
+        assert dense_preconditioner(problem, state)[1] == [0]
+        op = build_operator(problem, state)
+        v = np.array([1.0, -2.0, 0.5])
+        diag = jacobi_diagonal(op)
+        np.testing.assert_array_equal(preconditioner(op)(v),
+                                      (1.0 / np.where(diag > 0, diag, 1.0)) * v)
 
     def test_singular_capacitance_falls_back_to_jacobi(self):
         # H = diag(0, 1): the free variable's block T + UWU' is exactly 0

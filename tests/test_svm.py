@@ -50,6 +50,12 @@ class TestParseLibsvm:
         with pytest.raises(SvmParseError, match="strictly increasing"):
             parse_libsvm("+1 2:1 2:2")
 
+    @pytest.mark.parametrize("index", ["0", "-3"])
+    def test_index_below_one_is_out_of_range(self, index):
+        with pytest.raises(SvmParseError, match=f"line 1: feature index {index} out of "
+                                                r"range \(indices are 1-based\)"):
+            parse_libsvm(f"+1 {index}:1.0")
+
     def test_blank_lines_skipped(self):
         data = parse_libsvm("+1 1:1\n\n-1 1:2\n")
         assert len(data) == 2
