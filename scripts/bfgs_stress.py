@@ -20,6 +20,12 @@ def main() -> int:
     ap.add_argument("--bounded", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.n < 1:
+        ap.error("--n must be at least 1")
+    if args.rank < 0:
+        ap.error("--rank must be nonnegative")
+    if not 0 <= args.bounded <= args.n:
+        ap.error("--bounded must lie in [0, n]")
 
     rng = np.random.default_rng(args.seed)
     hessian = QuasiNewtonHessian(

@@ -27,22 +27,17 @@ import scipy.sparse as sp
 from qpipm.ipm import solve
 from qpipm.kkt import apply_doubly_augmented, preconditioner
 from qpipm.linalg import pcg
-from qpipm.model import Bounds, QpProblem, SparseHessian, SparseMatrix
+from qpipm.model import Bounds, QpProblem, SparseHessian
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import SPARSE_QP_INSTANCE, _sparse_qp_instance  # noqa: E402
 
 
-def _matrix(a) -> SparseMatrix:
-    a = a.tocoo()
-    return SparseMatrix.from_coo(a.shape[0], a.shape[1], a.row, a.col, a.data)
-
-
 def _problem(q: dict, h) -> QpProblem:
     n = h.shape[0]
-    return QpProblem(n=n, hessian=SparseHessian(_matrix(h)), p=q["p"],
-                     a=_matrix(q["a"]), lin_bounds=Bounds(q["l"], q["u"]),
-                     c=_matrix(q["c"]), b=q["b"], var_bounds=Bounds(q["lx"], q["ux"]))
+    return QpProblem(n=n, hessian=SparseHessian(h), p=q["p"],
+                     a=q["a"], lin_bounds=Bounds(q["l"], q["u"]),
+                     c=q["c"], b=q["b"], var_bounds=Bounds(q["lx"], q["ux"]))
 
 
 def problems(n: int) -> dict[str, QpProblem]:

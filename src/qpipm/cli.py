@@ -11,13 +11,14 @@ import json
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import svm
 from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, infeasibilities, solve
 from .kkt import compute_residuals
 from .linalg import PcgConfig
 from .model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                    SparseHessian, SparseMatrix, validate_problem)
+                    SparseHessian, SparseMatrix, coo_json, validate_problem)
 
 TRACE_HEADER = "iter,mu,primal_inf,dual_inf,compl_inf,cg_iters,cg_resid,alpha_x,alpha_lambda"
 
@@ -93,21 +94,21 @@ def _bounds(doc, lname, uname, size) -> Bounds:
     return Bounds(lo, hi)
 
 
-def _coo_matrix(doc, name, n_rows, n_cols) -> SparseMatrix:
+def _coo_matrix(doc, name, shape) -> sp.csr_matrix:
     if doc is None:
-        return SparseMatrix.empty(n_rows, n_cols)
+        return sp.csr_matrix(shape)
     if not isinstance(doc, dict):
         raise QpFileError(f"member '{name}' must be an object")
     _reject_unknown(doc, f"{name}.", _COO_MEMBERS)
     for key in _COO_MEMBERS:
         if key not in doc:
             raise QpFileError(f"member '{name}' is missing '{key}'")
-    rows = _index_array(doc["rows"], f"{name}.rows", n_rows)
-    cols = _index_array(doc["cols"], f"{name}.cols", n_cols)
+    rows = _index_array(doc["rows"], f"{name}.rows", shape[0])
+    cols = _index_array(doc["cols"], f"{name}.cols", shape[1])
     vals = _real_array(doc["vals"], f"{name}.vals")
     if not (len(rows) == len(cols) == len(vals)):
         raise QpFileError(f"member '{name}': rows/cols/vals lengths differ")
-    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    return SparseMatrix.from_coo(*shape, rows, cols, vals)
 
 
 def _hessian(doc, n):
@@ -124,7 +125,7 @@ def _hessian(doc, n):
         return DiagonalHessian(d)
     if kind == "coo":
         coo = {key: doc[key] for key in _COO_MEMBERS if key in doc}
-        return SparseHessian(_coo_matrix(coo, "hessian", n, n))
+        return SparseHessian(_coo_matrix(coo, "hessian", (n, n)))
     h0 = _real_array(_required(doc, "h0_diag"), "hessian.h0_diag")
     if len(h0) != n:
         raise QpFileError("member 'hessian.h0_diag' has wrong length")
@@ -153,9 +154,9 @@ def parse_qp_document(doc: dict) -> QpProblem:
         n=n,
         hessian=_hessian(_required(doc, "hessian"), n),
         p=p,
-        a=_coo_matrix(doc.get("A"), "A", len(lin_bounds), n),
+        a=_coo_matrix(doc.get("A"), "A", (len(lin_bounds), n)),
         lin_bounds=lin_bounds,
-        c=_coo_matrix(doc.get("C"), "C", len(b), n),
+        c=_coo_matrix(doc.get("C"), "C", (len(b), n)),
         b=b,
         var_bounds=var_bounds,
     )
@@ -184,8 +185,8 @@ def qp_document(problem: QpProblem) -> dict:
     lin, var = problem.lin_bounds, problem.var_bounds
     return {
         "n": problem.n, "hessian": problem.hessian.to_json(), "p": problem.p.tolist(),
-        "A": problem.a.to_json(), "l": _finite_or_null(lin.lower),
-        "u": _finite_or_null(lin.upper), "C": problem.c.to_json(),
+        "A": coo_json(problem.a), "l": _finite_or_null(lin.lower),
+        "u": _finite_or_null(lin.upper), "C": coo_json(problem.c),
         "b": problem.b.tolist(), "lx": _finite_or_null(var.lower),
         "ux": _finite_or_null(var.upper),
     }

@@ -1,5 +1,11 @@
 """Problem representation: sparse matrices, Hessian variants, bounds, QP instances.
 
+``QpProblem.a``, ``QpProblem.c`` and ``SparseHessian.m`` take any scipy
+sparse matrix and hold a ``scipy.sparse.csr_matrix`` copy in canonical form
+(float64, index arrays fully checked, duplicates summed, column indices
+sorted), built once on construction; the solver reads them only through
+products and the stored entries.
+
 Every Hessian class implements the only members the solver reads (no code
 outside the classes looks at a Hessian's type): ``n``; ``apply(v)``, the
 product H v; ``low_rank()``, ``(d, U, w)`` with H = R + U diag(w) U' and
@@ -22,70 +28,34 @@ class DimensionError(ValueError):
     """Operand shapes are inconsistent."""
 
 
-@dataclass(frozen=True)
+def _canonical_csr(m) -> sp.csr_matrix:
+    """A float64 CSR copy of the scipy sparse matrix ``m`` (left unmodified),
+    its index arrays fully checked, duplicates summed and indices sorted."""
+    out = sp.csr_matrix(m, dtype=np.float64, copy=True)
+    # the constructor alone accepts column indices >= the column count
+    out.check_format(full_check=True)
+    out.sum_duplicates()
+    return out
+
+
 class SparseMatrix:
-    """Compressed-row sparse matrix.
+    """Constructor of the canonical CSR matrices ``QpProblem`` and
+    ``SparseHessian`` hold; it has no instances."""
 
-    Within each row column indices are strictly increasing; duplicate
-    entries must be summed before construction (see :meth:`from_coo`).
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ro = np.asarray(self.row_offsets, dtype=np.int64)
-        ci = np.asarray(self.col_indices, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "row_offsets", ro)
-        object.__setattr__(self, "col_indices", ci)
-        object.__setattr__(self, "values", vals)
-        if ro.shape != (self.n_rows + 1,):
-            raise DimensionError("row_offsets must have length n_rows + 1")
-        if ro[0] != 0 or ro[-1] != len(vals):
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(ro) < 0):
-            raise ValueError("row_offsets must be nondecreasing")
-        if len(ci) != len(vals):
-            raise DimensionError("col_indices and values must have equal length")
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
-            raise ValueError("column index out of range")
-        row_of = np.repeat(np.arange(self.n_rows), np.diff(ro))
-        bad = np.flatnonzero((np.diff(ci) <= 0) & (row_of[1:] == row_of[:-1]))
-        if len(bad):
-            raise ValueError(
-                f"column indices not strictly increasing in row {row_of[bad[0]]}")
-
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicate entries are summed."""
-        m = sp.coo_matrix(
+    @staticmethod
+    def from_coo(m, n, rows, cols, vals) -> sp.csr_matrix:
+        """The m-by-n matrix of coordinate triplets; duplicate entries are summed."""
+        return _canonical_csr(sp.coo_matrix(
             (np.asarray(vals, dtype=np.float64),
              (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(n_rows, n_cols),
-        ).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n_rows, n_cols, m.indptr, m.indices, m.data)
+            shape=(m, n)))
 
-    @classmethod
-    def empty(cls, n_rows: int, n_cols: int) -> "SparseMatrix":
-        return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
-                   np.zeros(0, dtype=np.int64), np.zeros(0))
 
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                             shape=(self.n_rows, self.n_cols))
-
-    def to_json(self) -> dict:
-        """The coordinate-list object of the QP file format."""
-        coo = self.csr.tocoo()
-        return {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
-                "vals": coo.data.tolist()}
+def coo_json(m: sp.csr_matrix) -> dict:
+    """The coordinate-list object of the QP file format."""
+    coo = m.tocoo()
+    return {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
+            "vals": coo.data.tolist()}
 
 
 def _nan_report(name: str, arr) -> list[str]:
@@ -98,6 +68,18 @@ def _finite_report(name: str, arr) -> list[str]:
     if np.all(np.isfinite(arr)):
         return []
     return _nan_report(name, arr) or [f"non-finite data (inf) in {name}"]
+
+
+def _matrix_report(m, entries) -> list[str]:
+    """Violations of a dense or scipy sparse Hessian matrix ``m`` whose
+    stored entries are ``entries``."""
+    report = _finite_report("hessian", entries)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        report.append(f"hessian is not square: shape {m.shape}")
+    elif (not report and entries.size  # m - m.T is NaN where m holds inf
+          and abs(m - m.T).max() > 1e-10 * np.max(np.abs(entries))):
+        report.append("hessian is not symmetric")
+    return report
 
 
 def _no_update(d: np.ndarray):
@@ -131,25 +113,29 @@ class DiagonalHessian:
 
 @dataclass(frozen=True)
 class SparseHessian:
-    """Symmetric sparse Hessian; stores the full (not triangular) matrix."""
+    """Symmetric sparse Hessian: ``m`` is a canonical CSR copy of the scipy
+    sparse matrix given, both triangles stored."""
 
-    m: SparseMatrix
+    m: sp.csr_matrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _canonical_csr(self.m))
 
     @property
     def n(self):
-        return self.m.n_rows
+        return self.m.shape[0]
 
     def apply(self, v):
-        return self.m.csr @ v
+        return self.m @ v
 
     def low_rank(self):
-        return _no_update(np.asarray(self.m.csr.diagonal()))
+        return _no_update(self.m.diagonal())
 
     def validate(self):
-        return _finite_report("hessian", self.m.values)
+        return _matrix_report(self.m, self.m.data)
 
     def to_json(self):
-        return {"kind": "coo", **self.m.to_json()}
+        return {"kind": "coo", **coo_json(self.m)}
 
 
 @dataclass(frozen=True)
@@ -182,14 +168,7 @@ class DenseHessian:
         return _no_update(np.diag(self.m))
 
     def validate(self):
-        m = self.m
-        report = _finite_report("hessian", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            report.append(f"hessian is not square: shape {m.shape}")
-        elif (not report and m.size  # m - m.T is NaN where m holds inf
-              and np.max(np.abs(m - m.T)) > 1e-10 * np.max(np.abs(m))):
-            report.append("hessian is not symmetric")
-        return report
+        return _matrix_report(self.m, self.m)
 
     def to_json(self):
         raise ValueError("dense Hessians have no file representation")
@@ -295,23 +274,25 @@ class QpProblem:
     n: int
     hessian: Hessian
     p: np.ndarray
-    a: SparseMatrix
+    a: sp.csr_matrix
     lin_bounds: Bounds
-    c: SparseMatrix
+    c: sp.csr_matrix
     b: np.ndarray
     var_bounds: Bounds
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
+        object.__setattr__(self, "a", _canonical_csr(self.a))
+        object.__setattr__(self, "c", _canonical_csr(self.c))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
 
     @property
     def m_lin(self) -> int:
-        return self.a.n_rows
+        return self.a.shape[0]
 
     @property
     def m_eq(self) -> int:
-        return self.c.n_rows
+        return self.c.shape[0]
 
     def objective(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ hessian_apply(self.hessian, x)) + float(self.p @ x)
@@ -350,8 +331,8 @@ class BoundIndexMap:
         lin_upper = np.where(np.isfinite(lin.upper))[0]
         var_lower = np.where(np.isfinite(var.lower))[0]
         var_upper = np.where(np.isfinite(var.upper))[0]
-        a = problem.a.csr
-        b = sp.vstack([problem.c.csr, a[lin_lower], -a[lin_upper]], format="csr")
+        a = problem.a
+        b = sp.vstack([problem.c, a[lin_lower], -a[lin_upper]], format="csr")
         bt = b.T.tocsr()
         m_rows = len(lin_lower) + len(lin_upper)
         return cls(
@@ -384,8 +365,8 @@ def box_qp(hessian: Hessian, p, lower, upper) -> QpProblem:
     """Convenience constructor for a bound-constrained QP."""
     n = hessian.n
     return QpProblem(n=n, hessian=hessian, p=p,
-                     a=SparseMatrix.empty(0, n), lin_bounds=Bounds.free(0),
-                     c=SparseMatrix.empty(0, n), b=np.zeros(0),
+                     a=sp.csr_matrix((0, n)), lin_bounds=Bounds.free(0),
+                     c=sp.csr_matrix((0, n)), b=np.zeros(0),
                      var_bounds=Bounds(lower, upper))
 
 
@@ -399,12 +380,12 @@ def validate_problem(problem: QpProblem) -> list[str]:
         report.append(f"dimension mismatch: p has length {len(problem.p)}, expected {n}")
     if problem.hessian.n != n:
         report.append(f"dimension mismatch: hessian is {problem.hessian.n}-dimensional, expected {n}")
-    if problem.a.n_cols != n:
-        report.append(f"dimension mismatch: A has {problem.a.n_cols} columns, expected {n}")
+    if problem.a.shape[1] != n:
+        report.append(f"dimension mismatch: A has {problem.a.shape[1]} columns, expected {n}")
     if len(problem.lin_bounds) != m_a:
         report.append(f"dimension mismatch: lin_bounds has length {len(problem.lin_bounds)}, expected {m_a}")
-    if problem.c.n_cols != n:
-        report.append(f"dimension mismatch: C has {problem.c.n_cols} columns, expected {n}")
+    if problem.c.shape[1] != n:
+        report.append(f"dimension mismatch: C has {problem.c.shape[1]} columns, expected {n}")
     if len(problem.b) != m_e:
         report.append(f"dimension mismatch: b has length {len(problem.b)}, expected {m_e}")
     if len(problem.var_bounds) != n:
@@ -420,7 +401,7 @@ def validate_problem(problem: QpProblem) -> list[str]:
         report += _nan_report(f"{name}.lower", lo) + _nan_report(f"{name}.upper", hi)
 
     for name, arr in (("p", problem.p), ("b", problem.b),
-                      ("A", problem.a.values), ("C", problem.c.values)):
+                      ("A", problem.a.data), ("C", problem.c.data)):
         report += _finite_report(name, arr)
     report += problem.hessian.validate()
 

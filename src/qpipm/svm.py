@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import Bounds, DenseHessian, QpProblem, SparseMatrix, hessian_apply
 
@@ -100,7 +101,11 @@ class SvmModel:
 def parse_libsvm(text: str | bytes) -> SvmDataset:
     """Parse the LIBSVM line format: "<label> <idx>:<val> ..." (1-based indices)."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = text.count(b"\n", 0, exc.start) + 1
+            raise SvmParseError(f"line {lineno}: not UTF-8 text") from None
     samples: list[SparseVector] = []
     labels: list[float] = []
     n_features = 0
@@ -189,7 +194,7 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
         n=n,
         hessian=DenseHessian(_signed_kernel(data, cfg.sigma)),
         p=-np.ones(n),
-        a=SparseMatrix.empty(0, n),
+        a=sp.csr_matrix((0, n)),
         lin_bounds=Bounds.free(0),
         c=SparseMatrix.from_coo(1, n, np.zeros(n, dtype=np.int64), np.arange(n), y),
         b=np.zeros(1),

@@ -8,6 +8,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from qpipm.kkt import FullDirection, IterateState, KktOperator
 from qpipm.linalg import PcgBreakdownError, PcgResult
@@ -17,20 +18,20 @@ from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
 from qpipm.svm import SparseVector
 
 
-def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def spmv(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """y = M x."""
     x = np.asarray(x, dtype=np.float64)
-    if len(x) != m.n_cols:
-        raise DimensionError(f"vector length {len(x)} != n_cols {m.n_cols}")
-    return m.csr @ x
+    if len(x) != m.shape[1]:
+        raise DimensionError(f"vector length {len(x)} != column count {m.shape[1]}")
+    return m @ x
 
 
-def spmv_transpose(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def spmv_transpose(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """y = M' x."""
     x = np.asarray(x, dtype=np.float64)
-    if len(x) != m.n_rows:
-        raise DimensionError(f"vector length {len(x)} != n_rows {m.n_rows}")
-    return m.csr.T @ x
+    if len(x) != m.shape[0]:
+        raise DimensionError(f"vector length {len(x)} != row count {m.shape[0]}")
+    return m.T @ x
 
 
 def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> PcgResult:
@@ -129,19 +130,20 @@ def dense_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def sparse_from_dense(a) -> SparseMatrix:
-    """The nonzero entries of a dense matrix, as a SparseMatrix."""
+def sparse_from_dense(a) -> sp.csr_matrix:
+    """The nonzero entries of a dense matrix, as a canonical CSR matrix."""
     a = np.asarray(a, dtype=np.float64)
     rows, cols = np.nonzero(a)
     return SparseMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
 
-def sparse_to_dense(m: SparseMatrix) -> np.ndarray:
-    """Dense materialization by direct scatter (independent of scipy)."""
-    out = np.zeros((m.n_rows, m.n_cols))
-    for i in range(m.n_rows):
-        lo, hi = m.row_offsets[i], m.row_offsets[i + 1]
-        out[i, m.col_indices[lo:hi]] = m.values[lo:hi]
+def sparse_to_dense(m: sp.csr_matrix) -> np.ndarray:
+    """Dense materialization by direct scatter of the CSR arrays (independent
+    of scipy's conversions)."""
+    out = np.zeros(m.shape)
+    for i in range(m.shape[0]):
+        lo, hi = m.indptr[i], m.indptr[i + 1]
+        out[i, m.indices[lo:hi]] = m.data[lo:hi]
     return out
 
 
@@ -419,7 +421,7 @@ def dense_preconditioner(problem: QpProblem, state: IterateState):
     return m, kept
 
 
-def random_sparse(rng, m, n, density=0.5) -> SparseMatrix:
+def random_sparse(rng, m, n, density=0.5) -> sp.csr_matrix:
     mask = rng.random((m, n)) < density
     a = np.where(mask, rng.standard_normal((m, n)), 0.0)
     return sparse_from_dense(a)
@@ -464,7 +466,7 @@ def random_problem(rng, n=None, m_a=None, m_e=None, hessian_kind=None) -> QpProb
     a = random_sparse(rng, m_a, n)
     c = random_sparse(rng, m_e, n, density=0.7)
     x_ref = rng.standard_normal(n)
-    ax = (a.csr @ x_ref) if m_a else np.zeros(0)
+    ax = (a @ x_ref) if m_a else np.zeros(0)
     problem = QpProblem(
         n=n,
         hessian=random_hessian(rng, n, hessian_kind),
@@ -472,7 +474,7 @@ def random_problem(rng, n=None, m_a=None, m_e=None, hessian_kind=None) -> QpProb
         a=a,
         lin_bounds=random_bounds(rng, ax),
         c=c,
-        b=(c.csr @ x_ref + 0.1 * rng.standard_normal(m_e)) if m_e else np.zeros(0),
+        b=(c @ x_ref + 0.1 * rng.standard_normal(m_e)) if m_e else np.zeros(0),
         var_bounds=random_bounds(rng, x_ref, p_lower=0.7, p_upper=0.7),
     )
     if m_e == 0 and not (np.any(np.isfinite(problem.lin_bounds.lower))

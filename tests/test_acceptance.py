@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import DenseParts, dense_solve, random_interior_state, random_problem
 from qpipm.ipm import (IpmConfig, SolveStatus, infeasibilities, initialize,
@@ -51,7 +52,7 @@ def analytic_reports():
         "interior_optimum": box_qp(DiagonalHessian([1.0]), [-2.0], [0.0], [10.0]),
         "equality": QpProblem(
             n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
-            a=SparseMatrix.empty(0, 2), lin_bounds=Bounds.free(0),
+            a=sp.csr_matrix((0, 2)), lin_bounds=Bounds.free(0),
             c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]),
             b=[1.0], var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0])),
     }

@@ -330,6 +330,20 @@ def test_bad_file_is_named_input_error(command, write, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve-qp"])
+def test_asymmetric_coo_hessian_is_input_error(command, tmp_path, capsys):
+    """Both triangles of H = [[2, 1], [0, 2]] are stored as given; solving
+    with it converged to x = (-0.75, 0.5), which minimizes no symmetric H."""
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps({
+        "n": 2, "hessian": {"kind": "coo", "rows": [0, 0, 1], "cols": [0, 1, 1],
+                            "vals": [2, 1, 2]},
+        "p": [1, -1], "lx": [-5, -5], "ux": [5, 5]}))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "hessian is not symmetric" in captured.out + captured.err
+
+
 class TestFlagDefaults:
     def test_defaults_match_reference_values(self):
         parser = build_parser()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ def equality_problem():
     """min 1/2 ||x||^2 s.t. x1 + x2 = 1, -10 <= x <= 10; optimum (0.5, 0.5)."""
     return QpProblem(
         n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
-        a=SparseMatrix.empty(0, 2), lin_bounds=Bounds.free(0),
+        a=sp.csr_matrix((0, 2)), lin_bounds=Bounds.free(0),
         c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]), b=[1.0],
         var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0]))
 
@@ -270,7 +271,7 @@ class TestSolve:
             n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
             a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
             lin_bounds=Bounds([-1.0, -np.inf], [1.0, 2.0]),
-            c=SparseMatrix.empty(0, 3), b=[],
+            c=sp.csr_matrix((0, 3)), b=[],
             var_bounds=Bounds([-5.0, 0.0, -np.inf], [5.0, np.inf, np.inf]))
         st_ = solve(p).state
         views = {"lam_lA": 1, "lam_uA": 2, "lam_lx": 2, "lam_ux": 1}
@@ -347,7 +348,6 @@ def test_sparse_hessian_stand_in_converges_without_capped_cg(monkeypatch):
     non-diagonal 2B'D^{-1}B term as D -> 0, on which Jacobi-preconditioned PCG
     hit its cap (38,942 CG in total) before B's dominant rows were kept whole
     in the preconditioner."""
-    import scipy.sparse as sp
     from pathlib import Path
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -355,15 +355,10 @@ def test_sparse_hessian_stand_in_converges_without_capped_cg(monkeypatch):
 
     q = _sparse_qp_instance(np.random.default_rng(7), 400, 20, 100)
     m = sp.random(400, 400, density=5 / 400, random_state=3)
-    h = (m.T @ m + 0.1 * sp.eye(400)).tocoo()
-
-    def matrix(a):
-        a = a.tocoo()
-        return SparseMatrix.from_coo(a.shape[0], a.shape[1], a.row, a.col, a.data)
-
-    problem = QpProblem(n=400, hessian=SparseHessian(matrix(h)), p=q["p"],
-                        a=matrix(q["a"]), lin_bounds=Bounds(q["l"], q["u"]),
-                        c=matrix(q["c"]), b=q["b"], var_bounds=Bounds(q["lx"], q["ux"]))
+    h = m.T @ m + 0.1 * sp.eye(400)
+    problem = QpProblem(n=400, hessian=SparseHessian(h), p=q["p"],
+                        a=q["a"], lin_bounds=Bounds(q["l"], q["u"]),
+                        c=q["c"], b=q["b"], var_bounds=Bounds(q["lx"], q["ux"]))
     report = solve(problem)
     assert report.status is SolveStatus.CONVERGED
     assert sum(t.cg_iters for t in report.trace) <= 2000

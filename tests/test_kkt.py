@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
                      dense_hessian, dense_preconditioner, dense_solve, make_state,
@@ -12,7 +13,7 @@ from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
                        compute_residuals, jacobi_diagonal, preconditioner,
                        recover_directions)
 from qpipm.model import (BoundIndexMap, Bounds, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseMatrix, box_qp)
+                         QuasiNewtonHessian, box_qp)
 
 
 def make_instances(rng, count, **kw):
@@ -30,7 +31,7 @@ def scalar_instance():
         n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
         a=sparse_from_dense([[1.0]]),
         lin_bounds=Bounds([0.0], [np.inf]),
-        c=SparseMatrix.empty(0, 1), b=[],
+        c=sp.csr_matrix((0, 1)), b=[],
         var_bounds=Bounds.free(1))
     state = make_state([0.5], 0.1, s_lA=[1.0], lam_lA=[1.0])
     return problem, state
@@ -42,7 +43,7 @@ class TestBoundIndexMap:
             n=3, hessian=DiagonalHessian([1.0] * 3), p=[0.0] * 3,
             a=sparse_from_dense([[1.0, 0, 0], [0, 1.0, 0]]),
             lin_bounds=Bounds([0.0, -np.inf], [np.inf, 2.0]),
-            c=SparseMatrix.empty(0, 3), b=[],
+            c=sp.csr_matrix((0, 3)), b=[],
             var_bounds=Bounds([0.0, -np.inf, 1.0], [np.inf, np.inf, 2.0]))
         bmap = BoundIndexMap.from_problem(problem)
         # A lower row 0 | A upper row 1 | x0 >= 0, x2 >= 1 | x2 <= 2
@@ -370,7 +371,7 @@ class TestPreconditioner:
             n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
             a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
             lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
-            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+            c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
         state = make_state([0.0, 0.0], 0.1, s_lA=[1.0, 1.0], lam_lA=[1.0, 1.0])
         m, kept = dense_preconditioner(problem, state)
         assert kept == [0]
@@ -388,7 +389,7 @@ class TestPreconditioner:
             n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
             a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
             lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
-            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+            c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
         state = make_state([0.0, 0.0], 0.1, s_lA=[1.0, 1.0], lam_lA=[1.0, 1.0])
         m, kept = dense_preconditioner(problem, state)
         assert kept == [0]
@@ -432,7 +433,7 @@ class TestPreconditioner:
             n=2, hessian=QuasiNewtonHessian([0.0, 1.0], [[1.0], [1.0]], [1.0]),
             p=[0.0, 1.0], a=sparse_from_dense([[0.0, 2.0]]),
             lin_bounds=Bounds([0.0], [np.inf]),
-            c=SparseMatrix.empty(0, 2), b=[], var_bounds=Bounds.free(2))
+            c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
         state = make_state([0.0, 1.0], 0.1, s_lA=[1.0], lam_lA=[1.0])
         assert dense_preconditioner(problem, state)[1] == [0]
         op = build_operator(problem, state)

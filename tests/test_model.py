@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,30 +28,69 @@ class TestSparseMatrix:
         m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
         np.testing.assert_array_equal(sparse_to_dense(m), [[0.0, 5.0], [1.0, 0.0]])
 
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 2, [0, 1], [5], [1.0])  # column out of range
-        with pytest.raises(DimensionError):
-            SparseMatrix(2, 2, [0, 1], [0], [1.0])  # offsets too short
+    @staticmethod
+    def _corrupted(**arrays):
+        """A valid 2x2 CSR matrix whose index arrays are then overwritten,
+        past the checks of scipy's constructor."""
+        m = sp.csr_matrix(np.eye(2))
+        for name, value in arrays.items():
+            setattr(m, name, np.asarray(value, dtype=m.indices.dtype))
+        return m
 
-    @pytest.mark.parametrize("offsets, cols, row", [
-        ([0, 1, 3], [0, 2, 1], 1),     # unsorted row
-        ([0, 2, 3], [1, 1, 0], 0),     # duplicate column within a row
-        ([0, 0, 2, 4], [1, 2, 2, 2], 2),  # 2, 2 across rows 1/2 is fine
-    ])
-    def test_columns_not_increasing_within_row_rejected(self, offsets, cols, row):
-        with pytest.raises(ValueError, match=f"strictly increasing in row {row}$"):
-            SparseMatrix(len(offsets) - 1, 3, offsets, cols, [1.0] * len(cols))
+    def test_invariant_violations_rejected(self):
+        invalid = [
+            # column out of range: only check_format(full_check=True) sees it
+            lambda: sp.csr_matrix(([1.0], [5], [0, 1]), shape=(1, 2)),
+            lambda: self._corrupted(indptr=[0, 1]),  # offsets too short
+            lambda: self._corrupted(indptr=[0, 2, 1]),  # decreasing offsets
+            lambda: self._corrupted(indices=[0, -1]),  # negative column
+        ]
+        for make in invalid:
+            with pytest.raises(ValueError):
+                QpProblem(n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+                          a=make(), lin_bounds=Bounds.free(make().shape[0]),
+                          c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
+            with pytest.raises(ValueError):
+                SparseHessian(make())
+
+    @pytest.mark.parametrize("offsets, cols", [
+        ([0, 1, 3], [0, 2, 1]),     # unsorted row
+        ([0, 2, 3], [1, 1, 0]),     # duplicate column within a row
+        ([0, 0, 2, 4], [1, 2, 2, 2]),  # 2, 2 across rows 1/2 and within row 2
+    ], ids=["unsorted_row", "duplicate_in_row", "duplicate_in_last_row"])
+    def test_non_canonical_input_made_canonical(self, offsets, cols):
+        vals = np.arange(1.0, len(cols) + 1)
+        given = sp.csr_matrix((vals.copy(), cols, offsets), shape=(len(offsets) - 1, 3))
+        before = (given.data.copy(), given.indices.copy(), given.indptr.copy())
+        summed = np.zeros(given.shape)
+        for i in range(given.shape[0]):
+            for k in range(offsets[i], offsets[i + 1]):
+                summed[i, cols[k]] += vals[k]
+        problem = QpProblem(n=3, hessian=DiagonalHessian(np.ones(3)), p=np.zeros(3),
+                            a=given, lin_bounds=Bounds.free(given.shape[0]),
+                            c=given, b=np.zeros(given.shape[0]),
+                            var_bounds=Bounds.free(3))
+        for m in (problem.a, problem.c):
+            assert type(m) is sp.csr_matrix and m.dtype == np.float64
+            row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+            same_row = row_of[1:] == row_of[:-1]
+            assert np.all(np.diff(m.indices)[same_row] > 0)
+            np.testing.assert_array_equal(sparse_to_dense(m), summed)
+        for kept, now in zip(before, (given.data, given.indices, given.indptr)):
+            np.testing.assert_array_equal(now, kept)
 
     def test_column_decrease_across_rows_accepted(self):
-        m = SparseMatrix(4, 3, [0, 2, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
+        m = sp.csr_matrix(([1.0, 2.0, 3.0, 4.0], [1, 2, 0, 0], [0, 2, 2, 3, 4]), shape=(4, 3))
+        problem = QpProblem(n=3, hessian=DiagonalHessian(np.ones(3)), p=np.zeros(3),
+                            a=m, lin_bounds=Bounds.free(4), c=sp.csr_matrix((0, 3)),
+                            b=[], var_bounds=Bounds.free(3))
         np.testing.assert_array_equal(
-            sparse_to_dense(m), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
+            sparse_to_dense(problem.a), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
 
     def test_empty(self):
-        m = SparseMatrix.empty(0, 3)
-        assert len(m.values) == 0
-        assert sparse_to_dense(m).shape == (0, 3)
+        problem = box_qp(DiagonalHessian(np.ones(3)), np.zeros(3), -np.ones(3), np.ones(3))
+        assert problem.a.nnz == problem.c.nnz == 0
+        assert sparse_to_dense(problem.a).shape == (0, 3)
 
 
 class TestHessianApply:
@@ -218,6 +258,16 @@ class TestValidateProblem:
     def test_symmetric_dense_hessian_accepted(self):
         p = box_qp(DenseHessian([[2.0, 0.3], [0.3, 2.0]]), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
         assert validate_problem(p) == []
+
+    def test_sparse_hessian_shape_and_symmetry(self):
+        def report(m):
+            return SparseHessian(sp.csr_matrix(m)).validate()
+
+        assert report([[2.0, 1.0], [0.0, 2.0]]) == ["hessian is not symmetric"]
+        assert report([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0]]) == [
+            "hessian is not square: shape (2, 3)"]
+        assert report([[2.0, 0.3], [0.3 + 1e-12, 2.0]]) == []
+        assert report(np.zeros((2, 2))) == []
 
     def test_psd_spot_check_random_hessians(self, rng):
         for kind in ("diagonal", "sparse", "bfgs"):

@@ -38,6 +38,10 @@ class TestParseLibsvm:
         data = parse_libsvm(b"1 1:1\n-1 1:2\n")
         assert len(data) == 2
 
+    def test_undecodable_byte_names_its_line(self):
+        with pytest.raises(SvmParseError, match="^line 2: not UTF-8 text$"):
+            parse_libsvm(b"+1 1:1\n-1 2:1\xff\n")
+
     def test_non_binary_label(self):
         with pytest.raises(SvmParseError, match="line 2.*non-binary"):
             parse_libsvm("+1 1:1\n3 1:2")
