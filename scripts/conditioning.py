@@ -6,7 +6,8 @@ the Jacobi-scaled diag(K)^{-1/2} K diag(K)^{-1/2}, and kappa(M^{-1} K) for the
 preconditioner M that PCG uses (``qpipm.kkt.preconditioner``), each from the
 dense eigenvalues of the symmetrically scaled operator. K and M^{-1} are
 formed by applying them to the identity columns, so keep n + m below about
-1000.
+1000. Each IPM iteration solves twice with one K and one M, a predictor and
+a corrector: one row per solve, with its phase (pred / corr) and CG count.
 
 Two problems of n variables: the sparse QP family of the benchmark
 (``perfbench/inputs.py``, n/40 equality and n/8 two-sided rows) and its
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from qpipm.ipm import solve
-from qpipm.kkt import apply_doubly_augmented, preconditioner
+from qpipm.kkt import apply_doubly_augmented
 from qpipm.linalg import pcg
 from qpipm.model import Bounds, QpProblem, SparseHessian
 
@@ -58,33 +59,35 @@ def _columns(apply, dim: int) -> np.ndarray:
     return np.column_stack([apply(e) for e in np.eye(dim)])
 
 
-def kappas(op) -> tuple[float, float, float]:
+def kappas(op, prec) -> tuple[float, float, float]:
     """kappa(K), kappa(diag(K)^{-1} K) and kappa(M^{-1} K), dense."""
     k = _columns(lambda v: apply_doubly_augmented(op, v), op.dim)
     scale = 1.0 / np.sqrt(np.diag(k))
-    m_inv = _columns(preconditioner(op), op.dim)
+    m_inv = _columns(prec, op.dim)
     # M^{-1} = L L': M^{-1} K is similar to L' K L
     l = np.linalg.cholesky(0.5 * (m_inv + m_inv.T))
     return _kappa(k), _kappa(scale[:, None] * k * scale), _kappa(l.T @ k @ l)
 
 
 def report(name: str, problem: QpProblem) -> None:
-    """Solve the problem, then print one row per IPM iteration and a summary."""
+    """Solve the problem, then print one row per Newton solve and a summary."""
     rows = []
 
-    def direction(op, rhs, cfg):
-        result = pcg(lambda v: apply_doubly_augmented(op, v), preconditioner(op), rhs, cfg)
-        rows.append((result.iterations, *kappas(op)))
+    def direction(op, rhs, cfg, prec, x0):
+        result = pcg(lambda v: apply_doubly_augmented(op, v), prec, rhs, cfg, x0=x0)
+        # the corrector reuses the predictor's operator and preconditioner
+        phase, k = ("pred", kappas(op, prec)) if x0 is None else ("corr", rows[-1][3:])
+        rows.append((len(rows) // 2 + 1, phase, result.iterations, *k))
         return result
 
     out = solve(problem, direction_solver=direction)
     print(f"# {name}: n={problem.n}, {problem.layout.b.shape[0]} rows of B")
-    print(f"{'iter':>4} {'mu':>9} {'cg':>5} {'kappa(K)':>10} "
+    print(f"{'iter':>4} {'phase':>5} {'mu':>9} {'cg':>5} {'kappa(K)':>10} "
           f"{'kappa(Jacobi)':>13} {'kappa(M^-1 K)':>13}")
-    for it, (cg, k, jacobi, prec) in enumerate(rows, start=1):
+    for it, phase, cg, k, jacobi, prec in rows:
         # no trace record when the direction could not be used
         mu = out.trace[it - 1].mu if it <= len(out.trace) else np.nan
-        print(f"{it:4d} {mu:9.2e} {cg:5d} {k:10.3e} {jacobi:13.3e} {prec:13.3e}")
+        print(f"{it:4d} {phase:>5} {mu:9.2e} {cg:5d} {k:10.3e} {jacobi:13.3e} {prec:13.3e}")
     total_cg = sum(t.cg_iters for t in out.trace)
     print(f"# {name}: {out.status.value} after {out.iterations} IPM iterations, "
           f"{total_cg} CG, objective {out.objective:.9e}")

@@ -1,7 +1,7 @@
 """Command-line interface: QP file format, trace CSV, solve/check commands.
 
 Exit codes: 0 converged, 1 input error, 2 iteration limit, 3 linear solver
-failure.
+failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ITERATION_LIMIT = 2
 EXIT_SOLVER_FAILURE = 3
+EXIT_NUMERICAL_FAILURE = 4
 
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_OK,
     SolveStatus.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
     SolveStatus.LINEAR_SOLVER_FAILURE: EXIT_SOLVER_FAILURE,
+    SolveStatus.NUMERICAL_FAILURE: EXIT_NUMERICAL_FAILURE,
 }
 
 
@@ -226,7 +228,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--mu-tol", type=float, default=1e-6,
-                   help="terminate when mu drops below this (default: %(default)s)")
+                   help="tolerance of the scaled primal, dual and complementarity "
+                        "stopping test (default: %(default)s)")
     p.add_argument("--cg-tol", type=float, default=1e-7,
                    help="CG residual tolerance (default: %(default)s)")
     p.add_argument("--cg-maxit", type=int, default=5000,
@@ -234,7 +237,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=0.99,
                    help="ratio-test safety factor (default: %(default)s)")
     p.add_argument("--mu-init", type=float, default=1.0,
-                   help="initial barrier parameter (default: %(default)s)")
+                   help="barrier parameter of the first iteration (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=200,
                    help="IPM iteration cap (default: %(default)s)")
     p.add_argument("--cg-tol-absolute", action="store_true",

@@ -1,5 +1,6 @@
-"""The outer interior-point loop: PCG-driven Newton steps with a ratio test
-line search and a residual-triggered barrier schedule."""
+"""The outer interior-point loop: Mehrotra predictor-corrector Newton steps,
+both solved by PCG with one operator and one preconditioner per iteration,
+a ratio test line search and a scale-aware stopping test."""
 
 from __future__ import annotations
 
@@ -28,14 +29,19 @@ class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     ITERATION_LIMIT = "iteration_limit"
     LINEAR_SOLVER_FAILURE = "linear_solver_failure"
+    # a non-finite residual, right-hand side or direction, or a step that
+    # left the interior
+    NUMERICAL_FAILURE = "numerical_failure"
 
 
 @dataclass(frozen=True)
 class IpmConfig:
+    """mu_init is the first iteration's mu; mu_tol bounds the scaled primal
+    and dual residuals and ||s * lam||_2 at termination (see ``solve``)."""
+
     gamma: float = 0.99
     mu_init: float = 1.0
     mu_tol: float = 1e-6
-    mu_shrink: float = 10.0
     max_iters: int = 200
     pcg: PcgConfig = field(default_factory=PcgConfig)
 
@@ -44,8 +50,6 @@ class IpmConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not (self.mu_init > 0 and self.mu_tol > 0):  # NaN fails too
             raise ValueError("barrier parameters must be positive")
-        if not self.mu_shrink > 1.0:
-            raise ValueError("mu_shrink must exceed 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -97,7 +101,9 @@ def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
 
 def _ratio(values: np.ndarray, deltas: np.ndarray) -> float:
     neg = deltas < 0
-    return float(np.min(-values[neg] / deltas[neg], initial=np.inf))
+    # a ratio that overflows (a subnormal delta) is inf: it limits no step
+    with np.errstate(over="ignore"):
+        return float(np.min(-values[neg] / deltas[neg], initial=np.inf))
 
 
 def step_lengths(state: IterateState, direction: FullDirection,
@@ -130,78 +136,151 @@ def infeasibilities(res: Residuals) -> tuple[float, float, float]:
             float(np.linalg.norm(res.r_c)))
 
 
-def update_barrier(mu: float, residual_norm: float,
-                   cfg: IpmConfig) -> tuple[float, bool]:
-    """Shrink mu when the full residual norm drops below it; terminate below mu_tol."""
-    if residual_norm < mu:
-        if mu < cfg.mu_tol:
-            return mu, True
-        return mu / cfg.mu_shrink, False
-    return mu, False
+def update_barrier(state: IterateState, affine: FullDirection, cfg: IpmConfig) -> float:
+    """Mehrotra's corrector target sigma mu, sigma = (mu_aff/mu)^3 in [0, 1].
+
+    mu = s'lam/m over the m inequalities and mu_aff is the same after the
+    largest steps along the affine direction that keep s and lam
+    nonnegative; 0 when m = 0. The target is at least mu_tol / (10 sqrt(m)):
+    pairs s_i lam_i at that value already pass the stopping test's
+    ||s * lam||_2 <= mu_tol, and a lower target only makes the next Newton
+    systems harder for PCG (without the floor, PCG hit its cap and the solve
+    its iteration limit on the n=400 stand-in H = M'M + 0.1I of the tests).
+    """
+    m = len(state.s)
+    if not m:
+        return 0.0
+    alpha_x, alpha_lam = step_lengths(state, affine, 1.0)
+    mu = state.s @ state.lam / m
+    mu_aff = (state.s + alpha_x * affine.ds) @ (state.lam + alpha_lam * affine.d_lam) / m
+    return max(mu * min(1.0, max(0.0, mu_aff / mu)) ** 3, 0.1 * cfg.mu_tol / np.sqrt(m))
 
 
-DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig], PcgResult]
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
 
 
-def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig) -> PcgResult:
-    return pcg(lambda v: apply_doubly_augmented(op, v), preconditioner(op),
-               rhs, cfg)
+def _converged(problem: QpProblem, res: Residuals, state: IterateState,
+               tol: float) -> bool:
+    """Scale-aware stopping test: the primal residual (r_e, r_p) relative to
+    1 + max(||g0||_inf, ||b||_inf), the dual residual r_H relative to
+    1 + ||p||_inf, and ||s * lam||_2 absolute, each at most tol."""
+    primal_scale = 1.0 + max(_max_abs(problem.layout.g0), _max_abs(problem.b))
+    primal = np.sqrt(res.r_e @ res.r_e + res.r_p @ res.r_p)
+    return (primal <= tol * primal_scale
+            and np.linalg.norm(res.r_H) <= tol * (1.0 + _max_abs(problem.p))
+            and np.linalg.norm(state.lam * state.s) <= tol)
+
+
+Preconditioner = Callable[[np.ndarray], np.ndarray]
+DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig, Preconditioner,
+                            np.ndarray | None], PcgResult]
+
+
+def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig,
+                   prec: Preconditioner, x0: np.ndarray | None) -> PcgResult:
+    return pcg(lambda v: apply_doubly_augmented(op, v), prec, rhs, cfg, x0=x0)
+
+
+def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
+                      state: IterateState, cfg: PcgConfig,
+                      direction_solver: DirectionSolver,
+                      x0: np.ndarray | None) -> tuple[FullDirection | None, PcgResult]:
+    """One Newton direction for the residuals ``res``; None when PCG broke
+    down before its first step or returned a non-finite solution."""
+    try:
+        cg = direction_solver(op, assemble_rhs(op, res, state), cfg, prec, x0)
+    except PcgBreakdownError as exc:
+        cg = exc.result
+    # a breakdown before the first CG step leaves the start, which carries
+    # no information about this system
+    if (cg.iterations == 0 and not cg.converged) or not np.all(np.isfinite(cg.solution)):
+        return None, cg
+    return recover_directions(op, *op.split(cg.solution), res, state), cg
 
 
 def solve(problem: QpProblem, cfg: IpmConfig | None = None,
           direction_solver: DirectionSolver = _pcg_direction,
           verbose: bool = False) -> SolveReport:
-    """Run the interior-point loop to convergence or an iteration limit.
+    """Run Mehrotra's predictor-corrector to convergence or an iteration limit.
 
-    direction_solver is a hook for substituting the linear solver (used by
-    tests to compare PCG against a dense factorization).
+    Each iteration builds one operator and one preconditioner and solves
+    twice with them. With mu = s'lam/m (m inequalities), the predictor
+    solves with r_c = lam * s; its largest steps to the boundary give
+    mu_aff, and sigma = (mu_aff/mu)^3. The corrector solves with
+    r_c = lam * s + ds_aff * dlam_aff - sigma mu, its PCG started from the
+    predictor's solution. The iterate then moves along the corrector with
+    the ratio test; with m = 0, sigma = 0.
+
+    ``state.mu`` is mu_init at the start and s'lam/m after each step, but
+    not below mu_tol/10 (the final mu of the paper's schedule). It enters
+    the Newton system only as the equality rows' regularization (D = mu on
+    the rows of C and mu lam_e in r_e): without the floor, the seed-1
+    svm_dual benchmark input took 8 IPM iterations and 48 CG instead of 6
+    and 29. The trace's mu is the corrector's target sigma mu; its cg_iters
+    sums both solves.
+
+    The solve converges by ``_converged``. A non-finite residual, right-hand
+    side or direction (numpy floating-point errors raise inside the loop) or
+    a step out of the interior ends it as numerical_failure, with the last
+    iterate whose residuals were finite.
+
+    direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting
+    the linear solver (used by tests to compare PCG against a dense
+    factorization); prec is the iteration's shared preconditioner and x0 the
+    start (None for the predictor).
     """
     if cfg is None:
         cfg = IpmConfig()
     t0 = time.perf_counter()
-    state = initialize(problem, cfg)
-    res = compute_residuals(problem, state)
     trace: list[TraceRecord] = []
     status = SolveStatus.ITERATION_LIMIT
-
-    for it in range(1, cfg.max_iters + 1):
-        op = build_operator(problem, state)
-        rhs = assemble_rhs(op, res, state)
+    state = initialize(problem, cfg)
+    m = len(state.s)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            cg = direction_solver(op, rhs, cfg.pcg)
-        except PcgBreakdownError as exc:
-            cg = exc.result
-        # a breakdown before the first CG step leaves the zero start, which
-        # cannot move the iterate
-        no_step = cg.iterations == 0 and not cg.converged
-        if no_step or not np.all(np.isfinite(cg.solution)):
-            status = SolveStatus.LINEAR_SOLVER_FAILURE
-            break
-        direction = recover_directions(op, *op.split(cg.solution), res, state)
-
-        alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
-        state = apply_step(state, direction, alpha_x, alpha_lam)
-        res = compute_residuals(problem, state)
-        primal, dual, compl = infeasibilities(res)
-        trace.append(TraceRecord(
-            iter=it, mu=state.mu, primal_inf=primal, dual_inf=dual,
-            compl_inf=compl, cg_iters=cg.iterations,
-            cg_resid=cg.final_residual_norm,
-            alpha_x=alpha_x, alpha_lam=alpha_lam,
-            cg_converged=bool(cg.converged)))
-        if verbose:
-            print(f"iter {it:4d}  mu {state.mu:9.3e}  primal {primal:9.3e}  "
-                  f"dual {dual:9.3e}  compl {compl:9.3e}  cg {cg.iterations:5d} "
-                  f"{'converged' if cg.converged else 'NOT converged'}  "
-                  f"alpha ({alpha_x:.3f}, {alpha_lam:.3f})")
-
-        new_mu, terminate = update_barrier(state.mu, res.norm(), cfg)
-        if terminate:
-            status = SolveStatus.CONVERGED
-            break
-        if new_mu != state.mu:
-            state.mu = new_mu
             res = compute_residuals(problem, state)
+            for it in range(1, cfg.max_iters + 1):
+                op = build_operator(problem, state)
+                prec = preconditioner(op)
+                gap = state.lam * state.s
+                affine, cg_aff = _newton_direction(
+                    op, prec, replace(res, r_c=gap), state, cfg.pcg,
+                    direction_solver, None)
+                if affine is None:
+                    status = SolveStatus.LINEAR_SOLVER_FAILURE
+                    break
+                sigma_mu = update_barrier(state, affine, cfg)
+                direction, cg_corr = _newton_direction(
+                    op, prec, replace(res, r_c=gap + affine.ds * affine.d_lam - sigma_mu),
+                    state, cfg.pcg, direction_solver, cg_aff.solution)
+                if direction is None:
+                    status = SolveStatus.LINEAR_SOLVER_FAILURE
+                    break
+
+                alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
+                new = apply_step(state, direction, alpha_x, alpha_lam)
+                new.mu = max(new.lam @ new.s / m if m else 0.0, 0.1 * cfg.mu_tol)
+                res, state = compute_residuals(problem, new), new
+                primal, dual, compl = infeasibilities(res)
+                cg_iters = cg_aff.iterations + cg_corr.iterations
+                cg_converged = bool(cg_aff.converged and cg_corr.converged)
+                trace.append(TraceRecord(
+                    iter=it, mu=sigma_mu, primal_inf=primal, dual_inf=dual,
+                    compl_inf=compl, cg_iters=cg_iters,
+                    cg_resid=cg_corr.final_residual_norm,
+                    alpha_x=alpha_x, alpha_lam=alpha_lam,
+                    cg_converged=cg_converged))
+                if verbose:
+                    print(f"iter {it:4d}  mu {sigma_mu:9.3e}  primal {primal:9.3e}  "
+                          f"dual {dual:9.3e}  compl {compl:9.3e}  cg {cg_iters:5d} "
+                          f"{'converged' if cg_converged else 'NOT converged'}  "
+                          f"alpha ({alpha_x:.3f}, {alpha_lam:.3f})")
+                if _converged(problem, res, state, cfg.mu_tol):
+                    status = SolveStatus.CONVERGED
+                    break
+        except (FloatingPointError, InteriorityError):
+            status = SolveStatus.NUMERICAL_FAILURE
 
     return SolveReport(
         x=state.x.copy(), state=state, status=status, trace=trace,

@@ -241,6 +241,16 @@ class TestSolveQpCommand:
         code = main(["solve-qp", str(path), "--max-iter", "3", "--cg-maxit", "50"])
         assert code == 3
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # infeasible: x >= 1 as a row of A, x <= 0; the iterates diverge
+        doc = {"n": 1, "p": [0.0], "hessian": {"kind": "diagonal", "d": [1.0]},
+               "A": {"rows": [0], "cols": [0], "vals": [1.0]}, "l": [1.0], "u": [None],
+               "lx": [None], "ux": [0.0]}
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-qp", str(path)]) == 4
+        assert "status=numerical_failure" in capsys.readouterr().out
+
 
 class TestSolveSvmCommand:
     def test_two_point_file(self, tmp_path, capsys):
