@@ -146,7 +146,7 @@ def parse_qp_document(doc: dict) -> QpProblem:
         raise QpFileError("document root must be an object")
     _reject_unknown(doc, "", _TOP_MEMBERS)
     n = _required(doc, "n")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise QpFileError("member 'n' must be a nonnegative integer")
     p = _real_array(_required(doc, "p"), "p")
     lin_bounds = _bounds(doc, "l", "u", 0)
@@ -203,21 +203,6 @@ def write_trace(path: str, trace: list[TraceRecord]) -> None:
                      f"{t.alpha_x:.9e},{t.alpha_lam:.9e}\n")
 
 
-def read_trace(path: str) -> list[TraceRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header}")
-        for line in fh:
-            f = line.strip().split(",")
-            records.append(TraceRecord(
-                iter=int(f[0]), mu=float(f[1]), primal_inf=float(f[2]),
-                dual_inf=float(f[3]), compl_inf=float(f[4]), cg_iters=int(f[5]),
-                cg_resid=float(f[6]), alpha_x=float(f[7]), alpha_lam=float(f[8])))
-    return records
-
-
 class _Parser(argparse.ArgumentParser):
     # keep exit code 2 reserved for the iteration-limit outcome
     def error(self, message):
@@ -231,17 +216,14 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="tolerance of the scaled primal, dual and complementarity "
                         "stopping test (default: %(default)s)")
     p.add_argument("--cg-tol", type=float, default=1e-7,
-                   help="CG residual tolerance (default: %(default)s)")
+                   help="CG residual tolerance, relative to the right-hand side "
+                        "(default: %(default)s)")
     p.add_argument("--cg-maxit", type=int, default=5000,
                    help="CG iteration cap (default: %(default)s)")
     p.add_argument("--gamma", type=float, default=0.99,
                    help="ratio-test safety factor (default: %(default)s)")
-    p.add_argument("--mu-init", type=float, default=1.0,
-                   help="barrier parameter of the first iteration (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=200,
                    help="IPM iteration cap (default: %(default)s)")
-    p.add_argument("--cg-tol-absolute", action="store_true",
-                   help="treat --cg-tol as an absolute residual tolerance")
     p.add_argument("--trace", metavar="PATH", help="write per-iteration trace CSV")
     p.add_argument("--solution", metavar="PATH", help="write solution document")
     p.add_argument("--verbose", action="store_true",
@@ -249,16 +231,19 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _ipm_config(args) -> IpmConfig:
-    return IpmConfig(
-        gamma=args.gamma, mu_init=args.mu_init, mu_tol=args.mu_tol,
-        max_iters=args.max_iter,
-        pcg=PcgConfig(tol=args.cg_tol, max_iters=args.cg_maxit,
-                      tol_is_relative=not args.cg_tol_absolute))
+    return IpmConfig(gamma=args.gamma, mu_tol=args.mu_tol, max_iters=args.max_iter,
+                     pcg=PcgConfig(tol=args.cg_tol, max_iters=args.cg_maxit))
 
 
 def _report_summary(report: SolveReport, problem: QpProblem) -> dict:
-    res = compute_residuals(problem, report.state)
-    primal, dual, compl = infeasibilities(res)
+    """The final iterate's measures are those of the solver's stopping test;
+    inf when they overflow (a start point whose residuals are not finite)."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = compute_residuals(problem, report.state)
+            primal, dual, compl = infeasibilities(res, report.state)
+    except FloatingPointError:
+        primal = dual = compl = np.inf
     return {
         "status": report.status.value,
         "objective": report.objective,
@@ -274,8 +259,10 @@ def _finish(report: SolveReport, problem: QpProblem, args, extra: dict) -> int:
     summary = _report_summary(report, problem)
     summary.update(extra)
     if args.solution:
+        doc = {key: None if isinstance(v, float) and not np.isfinite(v) else v
+               for key, v in summary.items()}
         with open(args.solution, "w") as fh:
-            json.dump(summary, fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
     if args.trace:
         write_trace(args.trace, report.trace)

@@ -36,11 +36,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class IpmConfig:
-    """mu_init is the first iteration's mu; mu_tol bounds the scaled primal
-    and dual residuals and ||s * lam||_2 at termination (see ``solve``)."""
+    """gamma is the ratio test's fraction to the boundary; mu_tol bounds the
+    three measures of ``infeasibilities`` at termination (see ``_converged``)."""
 
     gamma: float = 0.99
-    mu_init: float = 1.0
     mu_tol: float = 1e-6
     max_iters: int = 200
     pcg: PcgConfig = field(default_factory=PcgConfig)
@@ -48,8 +47,8 @@ class IpmConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not (self.mu_init > 0 and self.mu_tol > 0):  # NaN fails too
-            raise ValueError("barrier parameters must be positive")
+        if not self.mu_tol > 0:  # NaN fails too
+            raise ValueError("mu_tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -81,8 +80,14 @@ class SolveReport:
     wall_time: float
 
 
+def _barrier_mu(s: np.ndarray, lam: np.ndarray, mu_tol: float) -> float:
+    """s'lam/m over the m inequalities, but not below mu_tol/10."""
+    return max(lam @ s / len(s) if len(s) else 0.0, 0.1 * mu_tol)
+
+
 def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
-    """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|)."""
+    """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|),
+    mu by ``_barrier_mu``."""
     lo, hi = problem.var_bounds.lower, problem.var_bounds.upper
     x = np.zeros(problem.n)
     both = np.isfinite(lo) & np.isfinite(hi)
@@ -94,9 +99,9 @@ def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
 
     bmap = problem.layout
     gap = bmap.g(x, bmap.b @ x) - bmap.g0
-    return IterateState(x=x, lam_e=np.zeros(problem.m_eq),
-                        s=np.maximum(1.0, np.abs(gap)), lam=np.ones(len(gap)),
-                        mu=cfg.mu_init, splits=bmap.splits)
+    s, lam = np.maximum(1.0, np.abs(gap)), np.ones(len(gap))
+    return IterateState(x=x, lam_e=np.zeros(problem.m_eq), s=s, lam=lam,
+                        mu=_barrier_mu(s, lam, cfg.mu_tol), splits=bmap.splits)
 
 
 def _ratio(values: np.ndarray, deltas: np.ndarray) -> float:
@@ -130,10 +135,11 @@ def apply_step(state: IterateState, direction: FullDirection,
     return new
 
 
-def infeasibilities(res: Residuals) -> tuple[float, float, float]:
-    """Euclidean norms of the primal, dual and complementarity blocks."""
-    return (float(np.linalg.norm(res.r_p)), float(np.linalg.norm(res.r_H)),
-            float(np.linalg.norm(res.r_c)))
+def infeasibilities(res: Residuals, state: IterateState) -> tuple[float, float, float]:
+    """The measures the stopping test bounds: primal ||(r_e, r_p)||_2, dual
+    ||r_H||_2 and complementarity ||s * lam||_2."""
+    return (float(np.hypot(np.linalg.norm(res.r_e), np.linalg.norm(res.r_p))),
+            float(np.linalg.norm(res.r_H)), float(np.linalg.norm(state.lam * state.s)))
 
 
 def update_barrier(state: IterateState, affine: FullDirection, cfg: IpmConfig) -> float:
@@ -160,16 +166,16 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _converged(problem: QpProblem, res: Residuals, state: IterateState,
+def _converged(problem: QpProblem, measures: tuple[float, float, float],
                tol: float) -> bool:
-    """Scale-aware stopping test: the primal residual (r_e, r_p) relative to
-    1 + max(||g0||_inf, ||b||_inf), the dual residual r_H relative to
-    1 + ||p||_inf, and ||s * lam||_2 absolute, each at most tol."""
+    """Scale-aware stopping test on the measures of ``infeasibilities``: the
+    primal one relative to 1 + max(||g0||_inf, ||b||_inf), the dual one
+    relative to 1 + ||p||_inf, and the complementarity one absolute, each at
+    most tol."""
+    primal, dual, compl = measures
     primal_scale = 1.0 + max(_max_abs(problem.layout.g0), _max_abs(problem.b))
-    primal = np.sqrt(res.r_e @ res.r_e + res.r_p @ res.r_p)
     return (primal <= tol * primal_scale
-            and np.linalg.norm(res.r_H) <= tol * (1.0 + _max_abs(problem.p))
-            and np.linalg.norm(state.lam * state.s) <= tol)
+            and dual <= tol * (1.0 + _max_abs(problem.p)) and compl <= tol)
 
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]
@@ -212,18 +218,19 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     predictor's solution. The iterate then moves along the corrector with
     the ratio test; with m = 0, sigma = 0.
 
-    ``state.mu`` is mu_init at the start and s'lam/m after each step, but
-    not below mu_tol/10 (the final mu of the paper's schedule). It enters
-    the Newton system only as the equality rows' regularization (D = mu on
-    the rows of C and mu lam_e in r_e): without the floor, the seed-1
-    svm_dual benchmark input took 8 IPM iterations and 48 CG instead of 6
-    and 29. The trace's mu is the corrector's target sigma mu; its cg_iters
-    sums both solves.
+    ``state.mu`` is s'lam/m at the start and after each step, but not below
+    mu_tol/10 (``_barrier_mu``). It enters the Newton system only as the
+    equality rows' regularization (D = mu on the rows of C and mu lam_e in
+    r_e): without the floor, the seed-1 svm_dual benchmark input took 8 IPM
+    iterations and 48 CG instead of 6 and 29. The trace's mu is the
+    corrector's target sigma mu; its cg_iters sums both solves.
 
-    The solve converges by ``_converged``. A non-finite residual, right-hand
-    side or direction (numpy floating-point errors raise inside the loop) or
-    a step out of the interior ends it as numerical_failure, with the last
-    iterate whose residuals were finite.
+    The solve converges by ``_converged``; the trace records the three
+    measures of ``infeasibilities`` that it bounds. A non-finite residual,
+    right-hand side or direction (numpy floating-point errors raise inside
+    the loop) or a step out of the interior ends it as numerical_failure,
+    with the last iterate whose residuals were finite. The objective is inf
+    or NaN when it overflows.
 
     direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting
     the linear solver (used by tests to compare PCG against a dense
@@ -236,7 +243,6 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     trace: list[TraceRecord] = []
     status = SolveStatus.ITERATION_LIMIT
     state = initialize(problem, cfg)
-    m = len(state.s)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             res = compute_residuals(problem, state)
@@ -260,9 +266,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
                 alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
                 new = apply_step(state, direction, alpha_x, alpha_lam)
-                new.mu = max(new.lam @ new.s / m if m else 0.0, 0.1 * cfg.mu_tol)
+                new.mu = _barrier_mu(new.s, new.lam, cfg.mu_tol)
                 res, state = compute_residuals(problem, new), new
-                primal, dual, compl = infeasibilities(res)
+                measures = infeasibilities(res, state)
+                primal, dual, compl = measures
                 cg_iters = cg_aff.iterations + cg_corr.iterations
                 cg_converged = bool(cg_aff.converged and cg_corr.converged)
                 trace.append(TraceRecord(
@@ -276,13 +283,15 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                           f"dual {dual:9.3e}  compl {compl:9.3e}  cg {cg_iters:5d} "
                           f"{'converged' if cg_converged else 'NOT converged'}  "
                           f"alpha ({alpha_x:.3f}, {alpha_lam:.3f})")
-                if _converged(problem, res, state, cfg.mu_tol):
+                if _converged(problem, measures, cfg.mu_tol):
                     status = SolveStatus.CONVERGED
                     break
         except (FloatingPointError, InteriorityError):
             status = SolveStatus.NUMERICAL_FAILURE
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = problem.objective(state.x)
     return SolveReport(
         x=state.x.copy(), state=state, status=status, trace=trace,
-        objective=problem.objective(state.x), iterations=len(trace),
+        objective=objective, iterations=len(trace),
         wall_time=time.perf_counter() - t0)

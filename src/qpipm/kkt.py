@@ -70,10 +70,6 @@ class Residuals:
     def concatenated(self) -> np.ndarray:
         return np.concatenate([self.r_H, self.r_e, self.r_p, self.r_c])
 
-    def norm(self) -> float:
-        """2-norm of the full Newton right-hand side."""
-        return float(np.linalg.norm(self.concatenated()))
-
 
 @dataclass(frozen=True)
 class FullDirection:

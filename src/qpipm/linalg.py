@@ -24,7 +24,6 @@ class PcgBreakdownError(RuntimeError):
 class PcgConfig:
     tol: float = 1e-7
     max_iters: int = 5000
-    tol_is_relative: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:  # NaN fails too
@@ -49,11 +48,11 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         callback: Optional[Callable[[int, np.ndarray, float], None]] = None) -> PcgResult:
     """Preconditioned conjugate gradients on an SPD operator.
 
-    Convergence is measured on the UNpreconditioned residual ||rhs - Op x||_2,
-    relative to ||rhs||_2 when cfg.tol_is_relative. The recurrence residual
-    drives the loop; on acceptance the true residual is recomputed explicitly
-    and the iteration restarts if drift pushed it back above the threshold.
-    Returns the best iterate seen (by residual norm).
+    Converged means the UNpreconditioned residual ||rhs - Op x||_2 is at most
+    cfg.tol * ||rhs||_2. The recurrence residual drives the loop; on
+    acceptance the true residual is recomputed explicitly and the iteration
+    restarts if drift pushed it back above the threshold. Returns the best
+    iterate seen (by residual norm).
 
     Raises PcgBreakdownError when p'(Op p) <= 0 or NaN is encountered.
 
@@ -61,7 +60,7 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
     exactly as the out-of-place expressions in the comments.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    threshold = cfg.tol * (np.linalg.norm(rhs) if cfg.tol_is_relative else 1.0)
+    threshold = cfg.tol * np.linalg.norm(rhs)
 
     if x0 is None:
         x = np.zeros_like(rhs)

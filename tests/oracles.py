@@ -37,7 +37,7 @@ def spmv_transpose(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> PcgResult:
     """The out-of-place PCG loop that ``qpipm.linalg.pcg`` must reproduce bit for bit."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    threshold = cfg.tol * (np.linalg.norm(rhs) if cfg.tol_is_relative else 1.0)
+    threshold = cfg.tol * np.linalg.norm(rhs)
 
     if x0 is None:
         x = np.zeros_like(rhs)

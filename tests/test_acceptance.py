@@ -173,7 +173,7 @@ def test_criterion_6_analytic_qps(analytic_reports):
         np.testing.assert_allclose(report.x, expected[name], atol=1e-4,
                                    err_msg=name)
         res = compute_residuals(problem, report.state)
-        primal, dual, _ = infeasibilities(res)
+        primal, dual, _ = infeasibilities(res, report.state)
         assert primal <= 1e-5 and dual <= 1e-5, name
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -9,10 +10,28 @@ import pytest
 from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
 from qpipm.cli import (TRACE_HEADER, QpFileError, _report_summary,
                        build_parser, load_qp_file, main, parse_qp_document,
-                       qp_document, read_trace, write_trace)
-from qpipm.ipm import SolveStatus, TraceRecord, solve
+                       qp_document, write_trace)
+from qpipm.ipm import IpmConfig, SolveStatus, TraceRecord, solve
 from qpipm.model import (BoundIndexMap, DiagonalHessian, QuasiNewtonHessian,
                          SparseHessian, box_qp, validate_problem)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def read_trace(path: str) -> list[TraceRecord]:
+    records = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != TRACE_HEADER:
+            raise ValueError(f"unexpected trace header: {header}")
+        for line in fh:
+            f = line.strip().split(",")
+            records.append(TraceRecord(
+                iter=int(f[0]), mu=float(f[1]), primal_inf=float(f[2]),
+                dual_inf=float(f[3]), compl_inf=float(f[4]), cg_iters=int(f[5]),
+                cg_resid=float(f[6]), alpha_x=float(f[7]), alpha_lam=float(f[8])))
+    return records
 
 
 def box_qp_doc():
@@ -251,6 +270,58 @@ class TestSolveQpCommand:
         assert main(["solve-qp", str(path)]) == 4
         assert "status=numerical_failure" in capsys.readouterr().out
 
+    def test_overflowing_start_point_is_a_numerical_failure(self, tmp_path, capsys):
+        """The start point x = 1e300 makes A x - s overflow: the measures are
+        reported as inf and written as null, with no traceback."""
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(overflow_doc()))
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve-qp", str(path), "--solution", sol]) == 4
+        out = capsys.readouterr().out
+        assert "status=numerical_failure" in out and "iterations=0" in out
+        assert "primal_inf=inf dual_inf=inf" in out
+        doc = json.load(open(sol))
+        assert doc["status"] == "numerical_failure"
+        assert doc["primal_inf"] is None and doc["dual_inf"] is None
+        assert doc["compl_inf"] is None
+
+    def test_summary_reports_the_stopping_test_measures(self, tmp_path, capsys):
+        """One equality row, one two-sided A row and a box: the summary, the
+        --solution document and the trace's last row give the same measures,
+        and they pass the stopping test's thresholds."""
+        doc = {"n": 2, "hessian": {"kind": "diagonal", "d": [1.0, 2.0]},
+               "p": [-1.0, 3.0], "A": {"rows": [0, 0], "cols": [0, 1], "vals": [1.0, -1.0]},
+               "l": [-0.5], "u": [2.0], "C": {"rows": [0, 0], "cols": [0, 1],
+                                              "vals": [1.0, 1.0]},
+               "b": [1.0], "lx": [-4.0, -4.0], "ux": [4.0, None]}
+        path = tmp_path / "qp.json"
+        path.write_text(json.dumps(doc))
+        problem = load_qp_file(str(path))
+        cfg = IpmConfig()
+        report = solve(problem, cfg)
+        assert report.status is SolveStatus.CONVERGED
+        last = report.trace[-1]
+        summary = _report_summary(report, problem)
+        measures = (last.primal_inf, last.dual_inf, last.compl_inf)
+        assert (summary["primal_inf"], summary["dual_inf"], summary["compl_inf"]) == measures
+        assert last.primal_inf <= cfg.mu_tol * (1.0 + 4.0)  # max(||g0||, ||b||) = 4
+        assert last.dual_inf <= cfg.mu_tol * (1.0 + 3.0)  # ||p|| = 3
+        assert last.compl_inf <= cfg.mu_tol
+
+        sol, trace = str(tmp_path / "sol.json"), str(tmp_path / "trace.csv")
+        assert main(["solve-qp", str(path), "--solution", sol, "--trace", trace]) == 0
+        written = json.load(open(sol))
+        row = read_trace(trace)[-1]
+        for name in ("primal_inf", "dual_inf", "compl_inf"):
+            assert written[name] == summary[name]
+            assert getattr(row, name) == pytest.approx(summary[name], rel=1e-9)
+
+
+def overflow_doc():
+    return {"n": 1, "hessian": {"kind": "diagonal", "d": [1.0]}, "p": [0.0],
+            "A": {"rows": [0], "cols": [0], "vals": [1e300]}, "l": [0.0], "u": [None],
+            "lx": [1e300], "ux": [None]}
+
 
 class TestSolveSvmCommand:
     def test_two_point_file(self, tmp_path, capsys):
@@ -326,13 +397,20 @@ def _short_h0_diag(path):
     return "member 'hessian.h0_diag' has wrong length"
 
 
+def _boolean_n(path):
+    doc = box_qp_doc()
+    doc["n"] = True
+    path.write_text(json.dumps(doc))
+    return "member 'n' must be a nonnegative integer"
+
+
 def _undecodable(path):
     path.write_bytes(json.dumps(box_qp_doc()).encode()[:-1] + b', "\xff": 1}')
     return f"'{path}' is not UTF-8 text"
 
 
 @pytest.mark.parametrize("command", ["check", "solve-qp"])
-@pytest.mark.parametrize("write", [_short_h0_diag, _undecodable])
+@pytest.mark.parametrize("write", [_short_h0_diag, _boolean_n, _undecodable])
 def test_bad_file_is_named_input_error(command, write, tmp_path, capsys):
     path = tmp_path / "bad.json"
     message = write(path)
@@ -362,7 +440,6 @@ class TestFlagDefaults:
         assert args.mu_tol == 1e-6
         assert args.cg_tol == 1e-7
         assert args.cg_maxit == 5000
-        assert args.mu_init == 1.0
         assert args.max_iter == 200
 
     def test_help_text_shows_defaults(self, capsys):
@@ -376,20 +453,55 @@ class TestFlagDefaults:
             assert default in out
 
 
+@pytest.mark.parametrize("flags", [["--mu-init", "1"], ["--cg-tol-absolute"]],
+                         ids=["mu-init", "cg-tol-absolute"])
+def test_removed_flag_is_unknown(flags, qp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-qp", qp_path, *flags])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _solver_options() -> dict[str, dict[str, argparse.Action]]:
+    """Option string -> action, per solver subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: action for action in sub.choices[name]._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help")}
+            for name in ("solve-qp", "solve-svm")}
+
+
+def test_readme_names_every_solver_option():
+    text = README.read_text(encoding="utf-8")
+    for command, options in _solver_options().items():
+        for opt in options:
+            assert re.search(rf"(?<![\w-]){opt}(?![\w-])", text), (command, opt)
+
+
+def test_readme_common_flags_are_accepted_with_their_defaults():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Common flags:(.*?)\.\s", text, re.S).group(1)
+    named = re.findall(r"`(--[\w-]+)`(?: \(([^)]+)\))?", sentence)
+    assert named
+    for options in _solver_options().values():
+        for opt, default in named:
+            assert opt in options, opt
+            if default:
+                assert float(default) == options[opt].default, opt
+
+
 @pytest.mark.parametrize("command, flags", [
     ("solve-qp", ["--gamma", "1.5"]),
     ("solve-qp", ["--cg-maxit", "0"]),
     ("solve-qp", ["--cg-tol", "0"]),
     ("solve-qp", ["--mu-tol", "-1"]),
-    ("solve-qp", ["--mu-init", "0"]),
-    ("solve-qp", ["--mu-init", "nan"]),
     ("solve-qp", ["--cg-tol", "nan"]),
     ("solve-qp", ["--max-iter", "-3"]),
     ("solve-svm", ["--sigma", "0", "--c", "1"]),
     ("solve-svm", ["--sigma", "nan", "--c", "1"]),
     ("solve-svm", ["--sigma", "1", "--c", "-1"]),
-], ids=["gamma", "cg-maxit", "cg-tol", "mu-tol", "mu-init", "mu-init-nan",
-        "cg-tol-nan", "max-iter", "sigma", "sigma-nan", "c"])
+], ids=["gamma", "cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "max-iter",
+        "sigma", "sigma-nan", "c"])
 def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, capsys):
     path = qp_path
     if command == "solve-svm":

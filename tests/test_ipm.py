@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -61,16 +63,17 @@ class TestInitialize:
         p_free = QpProblem(n=2, hessian=p.hessian, p=p.p, a=p.a,
                            lin_bounds=p.lin_bounds, c=p.c, b=p.b,
                            var_bounds=Bounds.free(2))
-        st0 = initialize(p_free, IpmConfig())
+        st0 = initialize(p_free, IpmConfig(mu_tol=1e-4))
         np.testing.assert_array_equal(st0.x, [0.0, 0.0])
         assert len(st0.s) == 0 and len(st0.lam) == 0
+        assert st0.mu == pytest.approx(1e-5)  # no pairs: the floor mu_tol/10
 
     def test_unit_multipliers_and_mu(self):
         p = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [2.0])
-        st0 = initialize(p, IpmConfig(mu_init=0.25))
+        st0 = initialize(p, IpmConfig())
         np.testing.assert_array_equal(st0.lam_lx, [1.0])
         np.testing.assert_array_equal(st0.lam_ux, [1.0])
-        assert st0.mu == 0.25
+        assert st0.mu == 1.0  # s'lam/m with both slacks 1
 
     def test_strict_interiority_random(self, rng):
         for _ in range(10):
@@ -154,20 +157,33 @@ class TestApplyStep:
 
 
 class TestInfeasibilities:
+    """The measures of the stopping test: ||(r_e, r_p)||, ||r_H||, ||s * lam||."""
+
     def _res(self, **kw):
         blocks = {k: np.zeros(0) for k in ("r_H", "r_e", "r_p", "r_c")}
         blocks.update({k: np.asarray(v, dtype=float) for k, v in kw.items()})
         return Residuals(**blocks)
 
     def test_all_zero(self):
-        assert infeasibilities(self._res()) == (0.0, 0.0, 0.0)
+        state = _state_with_slacks([], [])
+        assert infeasibilities(self._res(), state) == (0.0, 0.0, 0.0)
 
     def test_dual_norm(self):
-        assert infeasibilities(self._res(r_H=[3.0, 4.0]))[1] == 5.0
+        state = _state_with_slacks([], [])
+        assert infeasibilities(self._res(r_H=[3.0, 4.0]), state)[1] == 5.0
+
+    def test_primal_norm_includes_equality_block(self):
+        state = _state_with_slacks([1.0], [1.0])
+        primal, _, _ = infeasibilities(self._res(r_e=[3.0], r_p=[0.0]), state)
+        assert primal == 3.0
+        primal, _, _ = infeasibilities(self._res(r_e=[3.0], r_p=[4.0]), state)
+        assert primal == 5.0
 
     def test_compl_norm(self):
-        _, _, compl = infeasibilities(self._res(r_c=[1.0, 2.0, 2.0]))
-        assert compl == 3.0
+        # r_c = lam * s - mu does not enter: the pairs themselves are measured
+        state = _state_with_slacks([1.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+        res = self._res(r_c=[0.0, 1.0, 1.0])
+        assert infeasibilities(res, state)[2] == 3.0
 
 
 class TestUpdateBarrier:
@@ -203,6 +219,19 @@ class TestSolve:
         rep = solve(equality_problem())
         assert rep.status is SolveStatus.CONVERGED
         np.testing.assert_allclose(rep.x, [0.5, 0.5], atol=1e-4)
+
+    def test_equality_only_problem_converges(self):
+        """min 1/2 x'diag(1, 2, 4)x s.t. x1 + x2 + x3 = 7, no inequality:
+        x = 7 d^-1 / sum(d^-1) = (4, 2, 1)."""
+        p = QpProblem(
+            n=3, hessian=DiagonalHessian([1.0, 2.0, 4.0]), p=np.zeros(3),
+            a=sp.csr_matrix((0, 3)), lin_bounds=Bounds.free(0),
+            c=SparseMatrix.from_coo(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0]),
+            b=[7.0], var_bounds=Bounds.free(3))
+        rep = solve(p)
+        assert rep.status is SolveStatus.CONVERGED
+        np.testing.assert_allclose(rep.x, [4.0, 2.0, 1.0], atol=1e-5)
+        assert rep.trace[-1].compl_inf == 0.0
 
     def test_converged_implies_mu_below_tol(self):
         cfg = IpmConfig()
@@ -295,6 +324,19 @@ class TestSolve:
         assert 0 < rep.iterations < IpmConfig().max_iters
         assert np.all(np.isfinite(rep.x)) and np.isfinite(rep.objective)
 
+    def test_overflowing_start_point_is_a_numerical_failure(self):
+        # x starts at its lower bound 1e300 + 1, so A x = 1e600 overflows
+        p = QpProblem(
+            n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
+            a=SparseMatrix.from_coo(1, 1, [0], [0], [1e300]),
+            lin_bounds=Bounds([0.0], [np.inf]), c=sp.csr_matrix((0, 1)),
+            b=np.zeros(0), var_bounds=Bounds([1e300], [np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p)
+        assert rep.status is SolveStatus.NUMERICAL_FAILURE
+        assert rep.iterations == 0 and rep.objective == np.inf
+
     def test_step_out_of_the_interior_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(ipm, "step_lengths", lambda state, d, gamma: (1.0, 1.0))
         rep = solve(box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [10.0]))
@@ -354,7 +396,7 @@ class TestSolve:
             if rep.status is SolveStatus.CONVERGED:
                 ok += 1
                 res = compute_residuals(p, rep.state)
-                primal, dual, _ = infeasibilities(res)
+                primal, dual, _ = infeasibilities(res, rep.state)
                 assert primal <= 1e-4 and dual <= 1e-4
         assert ok >= 4
 

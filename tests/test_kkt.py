@@ -68,7 +68,7 @@ class TestComputeResiduals:
         problem = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
         state = make_state([x], mu, s_lx=[x - 1.0], lam_lx=[x])
         res = compute_residuals(problem, state)
-        assert res.norm() < 1e-12
+        assert np.linalg.norm(res.concatenated()) < 1e-12
 
     def test_complementarity_pair(self):
         problem = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [np.inf])

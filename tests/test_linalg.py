@@ -149,7 +149,7 @@ class TestPcg:
         g = rng.standard_normal((8, 8))
         a = g @ g.T + 8 * np.eye(8)
         rhs = rng.standard_normal(8)
-        cfg = PcgConfig(tol=1e-9, tol_is_relative=True)
+        cfg = PcgConfig(tol=1e-9)
         res = pcg(lambda v: a @ v, identity_prec, rhs, cfg)
         assert res.converged
         assert res.final_residual_norm <= cfg.tol * np.linalg.norm(rhs)
