@@ -11,7 +11,9 @@ Usage: python scripts/bench_json.py --root DIR --label L [--seed 1] [--seconds S
 
 ``--seconds`` defaults to the checkout's ``run_seconds``. ``DIR`` is a source
 checkout (this repository's root by default); the runs use its own
-``src/``.
+``src/``. A workload whose run fails stays in the file, marked
+``"correct": false`` with its exit code and the tail of its stderr; the
+script then exits 1.
 """
 
 import argparse
@@ -24,15 +26,27 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The run's last JSON line with its env line, exit code and failures.
+
+    A run that exits nonzero or prints no JSON line stays in the results:
+    ``correct`` false, no metrics, and the tail of its stderr."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}}
     env = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
     result["env"] = env[0] if env else None
+    result["returncode"] = proc.returncode
     # the lines that name a failed pass or check, so a failure is visible here
     result["failures"] = [line for line in lines if "FAILED" in line]
+    if proc.returncode:
+        result["correct"] = False
+        result["failures"].append(f"exit code {proc.returncode}")
+        result["stderr_tail"] = proc.stderr.splitlines()[-20:]
     return result
 
 
@@ -48,18 +62,23 @@ def main(argv=None) -> int:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     out = {"label": args.label, "seed": args.seed, "seconds": seconds, "workloads": {}}
+    failed = False
     for workload in (w["name"] for w in spec["workloads"]):
-        out["workloads"][workload] = {
-            "end_to_end": run(root, workload, args.seed, seconds, 0),
-            "per_layer": run(root, workload, args.seed, seconds, 1),
-        }
-        layer = out["workloads"][workload]["per_layer"]["metrics"]
-        print(f"{workload}: ipm {layer['ipm.iterations']['value']}  "
-              f"cg {layer['linalg.pcg.iterations']['value']}", flush=True)
+        runs = {"end_to_end": run(root, workload, args.seed, seconds, 0),
+                "per_layer": run(root, workload, args.seed, seconds, 1)}
+        out["workloads"][workload] = runs
+        if all(r["correct"] for r in runs.values()):
+            layer = runs["per_layer"]["metrics"]
+            print(f"{workload}: ipm {layer['ipm.iterations']['value']}  "
+                  f"cg {layer['linalg.pcg.iterations']['value']}", flush=True)
+        else:
+            failed = True
+            print(f"{workload}: FAILED {[f for r in runs.values() for f in r['failures']]}",
+                  flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -75,8 +75,12 @@ def report(name: str, problem: QpProblem) -> None:
 
     def direction(op, rhs, cfg, prec, x0):
         result = pcg(lambda v: apply_doubly_augmented(op, v), prec, rhs, cfg, x0=x0)
-        # the corrector reuses the predictor's operator and preconditioner
-        phase, k = ("pred", kappas(op, prec)) if x0 is None else ("corr", rows[-1][3:])
+        # the hook is called twice per iteration, the predictor first; the
+        # corrector reuses the predictor's operator and preconditioner
+        if len(rows) % 2 == 0:
+            phase, k = "pred", kappas(op, prec)
+        else:
+            phase, k = "corr", rows[-1][3:]
         rows.append((len(rows) // 2 + 1, phase, result.iterations, *k))
         return result
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kkt import (FullDirection, IterateState, KktOperator,
+from .kkt import (FullDirection, IterateState, KktOperator, Preconditioner,
                   Residuals, apply_doubly_augmented, assemble_rhs,
                   build_operator, compute_residuals, preconditioner,
                   recover_directions)
@@ -178,7 +178,6 @@ def _converged(problem: QpProblem, measures: tuple[float, float, float],
             and dual <= tol * (1.0 + _max_abs(problem.p)) and compl <= tol)
 
 
-Preconditioner = Callable[[np.ndarray], np.ndarray]
 DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig, Preconditioner,
                             np.ndarray | None], PcgResult]
 
@@ -193,9 +192,16 @@ def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
                       direction_solver: DirectionSolver,
                       x0: np.ndarray | None) -> tuple[FullDirection | None, PcgResult]:
     """One Newton direction for the residuals ``res``; None when PCG broke
-    down before its first step or returned a non-finite solution."""
+    down before its first step or returned a non-finite solution.
+
+    PCG starts at ``x0``, or at M^{-1} rhs when the preconditioner is exact:
+    its explicit residual test then accepts that start with 0 CG
+    iterations, and if it does not, PCG iterates from there."""
+    rhs = assemble_rhs(op, res, state)
+    if prec.exact:
+        x0 = prec(rhs)
     try:
-        cg = direction_solver(op, assemble_rhs(op, res, state), cfg, prec, x0)
+        cg = direction_solver(op, rhs, cfg, prec, x0)
     except PcgBreakdownError as exc:
         cg = exc.result
     # a breakdown before the first CG step leaves the start, which carries
@@ -215,8 +221,9 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     solves with r_c = lam * s; its largest steps to the boundary give
     mu_aff, and sigma = (mu_aff/mu)^3. The corrector solves with
     r_c = lam * s + ds_aff * dlam_aff - sigma mu, its PCG started from the
-    predictor's solution. The iterate then moves along the corrector with
-    the ratio test; with m = 0, sigma = 0.
+    predictor's solution (both start at M^{-1} rhs when the preconditioner
+    is exact, see ``_newton_direction``). The iterate then moves along the
+    corrector with the ratio test; with m = 0, sigma = 0.
 
     ``state.mu`` is s'lam/m at the start and after each step, but not below
     mu_tol/10 (``_barrier_mu``). It enters the Newton system only as the
@@ -234,8 +241,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
     direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting
     the linear solver (used by tests to compare PCG against a dense
-    factorization); prec is the iteration's shared preconditioner and x0 the
-    start (None for the predictor).
+    factorization). It is called twice per iteration, the predictor first;
+    prec is the iteration's shared preconditioner (``kkt.Preconditioner``)
+    and x0 the start: prec(rhs) for both solves when prec.exact, otherwise
+    None for the predictor and the predictor's solution for the corrector.
     """
     if cfg is None:
         cfg = IpmConfig()

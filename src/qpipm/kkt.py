@@ -11,6 +11,11 @@ B and B' are built once per problem (``QpProblem.layout``). The PCG
 preconditioner keeps the Hessian's low-rank term and the dominant rows of B
 whole and applies its inverse with the Woodbury identity; the rest of the
 top block is cut to its diagonal. With nothing kept whole it is Jacobi.
+With only variable bounds and a Hessian that is a diagonal plus a low-rank
+term it is the system itself (``Preconditioner.exact``). The low-rank
+term's Gram U' diag(1/d) U is built once per problem
+(``QpProblem.hessian_gram``); each iteration reads only the rows of U whose
+diagonal entry moved.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal
+from .model import (BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal,
+                    scaled_gram)
 
 
 def _multiplier_view(family: int) -> property:
@@ -165,19 +171,27 @@ def jacobi_diagonal(op: KktOperator) -> np.ndarray:
     return np.concatenate([top, op.d_diag])
 
 
-# U' diag(1/T) U is summed over row blocks of U of about 2^15 entries: the
-# scaled copy of a block is 256 KB, not an n-by-k temporary, and stays in
-# cache (2^15 took 12 ms at n=200000, k=20, one thread; 2^18 took 21 ms)
-_GRAM_BLOCK_ENTRIES = 1 << 15
-
 # At most this many rows of B are kept whole in the preconditioner; the rest
 # fold into its diagonal. The capacitance matrix and its inverse are then at
 # most (k + 1024)^2 doubles each, about 17 MB together for k = 20.
 _MAX_KEPT_ROWS = 1024
 
 
-def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> M^{-1} v for PCG on the doubly augmented system, by ``_woodbury_inverse``.
+@dataclass(frozen=True)
+class Preconditioner:
+    """v -> M^{-1} v for PCG, called as ``prec(v)``. ``exact`` says that M
+    is the doubly augmented matrix itself, so that M^{-1} b solves the
+    system up to rounding."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    exact: bool = False
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.apply(v)
+
+
+def preconditioner(op: KktOperator) -> Preconditioner:
+    """M^{-1} for PCG on the doubly augmented system, by ``_woodbury_inverse``.
 
     With (d, U, w) = ``hessian.low_rank()``, M = blockdiag(T + V S V', D),
     V = [U, B_k'] and S = diag(w, 2/D_k): the Hessian's low-rank term and the
@@ -191,6 +205,10 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     With k = 0 and no row kept, V is empty and M is Jacobi. When T has an
     entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
     M is Jacobi on ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
+
+    M is exact when B is empty (m = 0, only variable bounds), the Hessian's
+    ``low_rank_exact`` holds and the Woodbury path was taken: then
+    T + UWU' = Q, the whole top block, and there is no bottom block.
     """
     layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()
@@ -203,12 +221,30 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     t += 2.0 * (layout.bt_sq @ inv_d)
     if np.all(t > 0):
         try:
-            return _woodbury_inverse(u, w, t, op.d_diag, layout, kept)
+            return Preconditioner(
+                _woodbury_inverse(u, w, _low_rank_gram(op.problem, d, u, t),
+                                  t, op.d_diag, layout, kept),
+                exact=op.m == 0 and op.problem.hessian.low_rank_exact)
         except np.linalg.LinAlgError:
             pass  # then T + VSV' is singular too
     diag = jacobi_diagonal(op)
     diag = np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
-    return _woodbury_inverse(u[:, :0], w[:0], diag[:op.n], diag[op.n:], layout, kept[:0])
+    return Preconditioner(_woodbury_inverse(u[:, :0], w[:0], np.zeros((0, 0)), diag[:op.n],
+                                            diag[op.n:], layout, kept[:0]))
+
+
+def _low_rank_gram(problem: QpProblem, d: np.ndarray, u: np.ndarray,
+                   t: np.ndarray) -> np.ndarray:
+    """U' T^{-1} U. With the problem's ``hessian_gram`` G0 = U' diag(1/d) U,
+    only the rows S of U where t != d are read:
+    G0 + sum_{j in S} u_j u_j' (1/t_j - 1/d_j)."""
+    if not u.shape[1]:
+        return np.zeros((0, 0))
+    base = problem.hessian_gram
+    if base is None:
+        return scaled_gram(u, 1.0 / t)
+    changed = np.flatnonzero(t != d)
+    return base + scaled_gram(u, 1.0 / t[changed] - 1.0 / d[changed], changed)
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
@@ -229,10 +265,12 @@ def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray, d: np.ndarray,
-                      layout: BoundIndexMap, kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _woodbury_inverse(u: np.ndarray, w: np.ndarray, gram: np.ndarray, t: np.ndarray,
+                      d: np.ndarray, layout: BoundIndexMap,
+                      kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """v -> blockdiag(diag(t) + V S V', diag(d))^{-1} v, matrix-free, with
-    V = [U, B_k'], S = diag(w, 2/d_k) and B_k the kept rows of layout.b.
+    V = [U, B_k'], S = diag(w, 2/d_k), B_k the kept rows of layout.b and
+    ``gram`` = U' T^{-1} U.
 
     (T + VSV')^{-1} r = y - T^{-1} V c with y = T^{-1} r and
     Cap c = (w U'y, B_k y), where G = V' T^{-1} V and
@@ -247,13 +285,7 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, t: np.ndarray, d: np.ndarray
     m_k = len(kept)
     t_inv, d_inv = 1.0 / t, 1.0 / d
     cap = np.zeros((k + m_k, k + m_k))
-    if k:
-        gram = np.zeros((k, k))
-        rows = max(1, _GRAM_BLOCK_ENTRIES // k)
-        for lo in range(0, n, rows):
-            block = u[lo:lo + rows]
-            gram += block.T @ (block * t_inv[lo:lo + rows, None])
-        cap[:k, :k] = w[:, None] * gram
+    cap[:k, :k] = w[:, None] * gram
     if m_k:
         b_k = layout.b[kept]
         # B_k' as columns of B': transposing B_k would build a new matrix

@@ -12,8 +12,9 @@ from qpipm import ipm
 from qpipm.ipm import (InteriorityError, IpmConfig, SolveStatus, apply_step,
                        infeasibilities, initialize, solve, step_lengths,
                        update_barrier)
-from qpipm.kkt import (FullDirection, Residuals, compute_residuals,
-                       preconditioner, recover_directions, build_operator)
+from qpipm.kkt import (FullDirection, Residuals, apply_doubly_augmented,
+                       build_operator, compute_residuals, preconditioner,
+                       recover_directions)
 from qpipm.linalg import PcgConfig, PcgResult, pcg
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp)
@@ -381,6 +382,50 @@ class TestSolve:
         for (pred_x0, pred_solution), (corr_x0, _) in zip(starts[::2], starts[1::2]):
             assert pred_x0 is None
             np.testing.assert_array_equal(corr_x0, pred_solution)
+
+    @staticmethod
+    def _recording_solve(problem):
+        """Solve with a hook that runs PCG and records [prec, rhs, x0, op,
+        result] per call; result stays None when PCG raised."""
+        calls = []
+
+        def direction(op, rhs, cfg, prec, x0):
+            calls.append([prec, rhs, x0, op, None])
+            calls[-1][4] = pcg(lambda v: apply_doubly_augmented(op, v), prec, rhs, cfg,
+                               x0=None if x0 is None else x0.copy())
+            return calls[-1][4]
+
+        return solve(problem, direction_solver=direction), calls
+
+    @pytest.mark.parametrize("hessian", [
+        QuasiNewtonHessian([1.0, 2.0, 0.5, 1.5], [[1.0, 0.2], [-0.5, 1.0],
+                                                  [0.3, 0.0], [0.0, -0.7]], [0.8, 0.3]),
+        DiagonalHessian([1.0, 2.0, 0.5, 1.5])], ids=["quasi_newton", "diagonal"])
+    def test_exact_preconditioner_starts_every_solve_at_its_inverse(self, hessian):
+        problem = box_qp(hessian, [1.0, -3.0, 0.5, 2.0],
+                         [-1.0, -1.0, -np.inf, 0.0], [1.0, 1.0, np.inf, np.inf])
+        report, calls = self._recording_solve(problem)
+        assert report.status is SolveStatus.CONVERGED
+        assert len(calls) == 2 * report.iterations
+        for prec, rhs, x0, op, result in calls:
+            assert prec.exact
+            np.testing.assert_array_equal(x0, prec(rhs))
+            assert result.converged and result.iterations == 0
+            ref = dense_solve(assemble_dense(op), rhs)
+            assert np.linalg.norm(result.solution - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("problem", [
+        # the zero-curvature problem: its capacitance matrix is singular
+        box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
+               [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0]),
+        # H < 0: T <= 0
+        box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0])],
+        ids=["singular_capacitance", "negative_diagonal"])
+    def test_jacobi_fallback_is_not_exact(self, problem):
+        _, calls = self._recording_solve(problem)
+        assert calls
+        assert not any(prec.exact for prec, *_ in calls)
+        assert all(x0 is None for _, _, x0, _, _ in calls[::2])
 
     def test_iteration_limit_status(self):
         cfg = IpmConfig(max_iters=2)

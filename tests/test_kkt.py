@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -453,7 +455,7 @@ class TestPreconditioner:
         np.testing.assert_array_equal(preconditioner(op)(v),
                                       (1.0 / np.where(diag > 0, diag, 1.0)) * v)
 
-    def test_box_only_quasi_newton_solves_take_at_most_two_cg_steps(self, rng):
+    def test_box_only_quasi_newton_solves_take_no_cg_steps(self, rng):
         n, k = 500, 5
         hessian = QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
                                      0.3 * rng.standard_normal((n, k)),
@@ -463,7 +465,7 @@ class TestPreconditioner:
         lo[boxed], hi[boxed] = -1.0, 1.0
         report = solve(box_qp(hessian, rng.standard_normal(n), lo, hi))
         assert report.status is SolveStatus.CONVERGED
-        assert max(t.cg_iters for t in report.trace) <= 2
+        assert max(t.cg_iters for t in report.trace) == 0
 
     def test_build_does_not_allocate_an_n_by_k_temporary(self):
         n, k = 200_000, 20
@@ -484,3 +486,65 @@ class TestPreconditioner:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20  # U itself is 32 MB
+
+
+def _box_quasi_newton(rng, h0, boxed):
+    n = len(h0)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    lo[boxed], hi[boxed] = -1.0, 1.0
+    hessian = QuasiNewtonHessian(h0, rng.standard_normal((n, 3)), rng.uniform(0.1, 1.0, 3))
+    return box_qp(hessian, rng.standard_normal(n), lo, hi)
+
+
+def _from_scratch(problem):
+    """A copy of the problem without the cached Gram, as when some d_j <= 0."""
+    copy = replace(problem)
+    copy.__dict__["hessian_gram"] = None  # cached_property slot
+    return copy
+
+
+class TestCachedGram:
+    """U' diag(1/d) U is built once per problem; each preconditioner adds the
+    rows where T != d. It must match a build of U' T^{-1} U from scratch."""
+
+    @pytest.mark.parametrize("changed", ["none", "all"])
+    def test_matches_a_build_from_scratch(self, rng, changed):
+        n = 40
+        problem = _box_quasi_newton(rng, rng.uniform(0.5, 2.0, n), np.arange(n))
+        state = random_interior_state(rng, problem)
+        op = build_operator(problem, state)
+        if changed == "none":  # T = d: no row of U is read again
+            op = replace(op, q_diag_extra=np.zeros(n))
+        scratch = replace(op, problem=_from_scratch(problem))
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            np.testing.assert_allclose(preconditioner(op)(v), preconditioner(scratch)(v),
+                                       rtol=1e-12)
+        assert problem.hessian_gram is not None
+        m, _ = dense_preconditioner(problem, state)
+        if changed == "all":
+            np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_nonpositive_d_makes_no_cache(self, rng):
+        n = 40
+        h0 = rng.uniform(0.5, 2.0, n)
+        h0[4] = 0.0  # a bounded variable: T_4 = lam/s > 0
+        problem = _box_quasi_newton(rng, h0, np.arange(0, n, 2))
+        state = random_interior_state(rng, problem)
+        op = build_operator(problem, state)
+        v = rng.standard_normal(n)
+        got = preconditioner(op)(v)
+        assert problem.hessian_gram is None
+        np.testing.assert_allclose(got, preconditioner(
+            replace(op, problem=_from_scratch(problem)))(v), rtol=1e-12)
+        m, _ = dense_preconditioner(problem, state)
+        np.testing.assert_allclose(got, np.linalg.solve(m, v), rtol=1e-10, atol=1e-12)
+
+    def test_cache_is_freed_with_the_problem(self, rng):
+        problem = _box_quasi_newton(rng, rng.uniform(0.5, 2.0, 20), np.arange(10))
+        solve(problem)
+        gram = weakref.ref(problem.hessian_gram)
+        del problem
+        gc.collect()
+        assert gram() is None
