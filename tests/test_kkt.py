@@ -521,8 +521,8 @@ class TestCachedGram:
             np.testing.assert_allclose(preconditioner(op)(v), preconditioner(scratch)(v),
                                        rtol=1e-12)
         assert problem.hessian_gram is not None
-        m, _ = dense_preconditioner(problem, state)
         if changed == "all":
+            m, _ = dense_preconditioner(problem, state)
             np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
                                        rtol=1e-10, atol=1e-12)
 
