@@ -70,7 +70,10 @@ def _real_array(doc, name, null=None) -> np.ndarray:
                 raise QpFileError(f"member '{name}' contains null at position {i}")
             out[i] = null
         elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[i] = float(v)
+            try:
+                out[i] = float(v)
+            except OverflowError:  # an integer beyond floats: inf, as json reads 1e400
+                out[i] = np.inf if v > 0 else -np.inf
         else:
             raise QpFileError(f"member '{name}' contains non-numeric entry at position {i}")
     return out
@@ -149,6 +152,8 @@ def parse_qp_document(doc: dict) -> QpProblem:
     if type(n) is not int or n < 0:
         raise QpFileError("member 'n' must be a nonnegative integer")
     p = _real_array(_required(doc, "p"), "p")
+    if len(p) != n:  # before anything n-sized is built from an unchecked n
+        raise QpFileError("member 'p' has wrong length")
     lin_bounds = _bounds(doc, "l", "u", 0)
     var_bounds = _bounds(doc, "lx", "ux", n)
     b = _real_array(doc.get("b", []), "b")
@@ -220,8 +225,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                         "(default: %(default)s)")
     p.add_argument("--cg-maxit", type=int, default=5000,
                    help="CG iteration cap (default: %(default)s)")
-    p.add_argument("--gamma", type=float, default=0.99,
-                   help="ratio-test safety factor (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=200,
                    help="IPM iteration cap (default: %(default)s)")
     p.add_argument("--trace", metavar="PATH", help="write per-iteration trace CSV")
@@ -231,7 +234,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _ipm_config(args) -> IpmConfig:
-    return IpmConfig(gamma=args.gamma, mu_tol=args.mu_tol, max_iters=args.max_iter,
+    return IpmConfig(mu_tol=args.mu_tol, max_iters=args.max_iter,
                      pcg=PcgConfig(tol=args.cg_tol, max_iters=args.cg_maxit))
 
 

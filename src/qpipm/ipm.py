@@ -22,7 +22,7 @@ from .model import QpProblem
 
 
 class InteriorityError(RuntimeError):
-    """A step left the strictly positive region; indicates gamma >= 1 or a corrupted direction."""
+    """A step left the strictly positive region; indicates a corrupted direction."""
 
 
 class SolveStatus(enum.Enum):
@@ -34,19 +34,20 @@ class SolveStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+# the ratio test's fraction to the boundary (gamma of ``step_lengths``)
+FRACTION_TO_BOUNDARY = 0.99
+
+
 @dataclass(frozen=True)
 class IpmConfig:
-    """gamma is the ratio test's fraction to the boundary; mu_tol bounds the
-    three measures of ``infeasibilities`` at termination (see ``_converged``)."""
+    """mu_tol bounds the three measures of ``infeasibilities`` at
+    termination (see ``_converged``); max_iters caps the IPM iterations."""
 
-    gamma: float = 0.99
     mu_tol: float = 1e-6
     max_iters: int = 200
     pcg: PcgConfig = field(default_factory=PcgConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         if not self.mu_tol > 0:  # NaN fails too
             raise ValueError("mu_tol must be positive")
         if self.max_iters < 0:
@@ -273,7 +274,7 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                     status = SolveStatus.LINEAR_SOLVER_FAILURE
                     break
 
-                alpha_x, alpha_lam = step_lengths(state, direction, cfg.gamma)
+                alpha_x, alpha_lam = step_lengths(state, direction, FRACTION_TO_BOUNDARY)
                 new = apply_step(state, direction, alpha_x, alpha_lam)
                 new.mu = _barrier_mu(new.s, new.lam, cfg.mu_tol)
                 res, state = compute_residuals(problem, new), new

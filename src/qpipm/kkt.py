@@ -13,9 +13,8 @@ whole and applies its inverse with the Woodbury identity; the rest of the
 top block is cut to its diagonal. With nothing kept whole it is Jacobi.
 With only variable bounds and a Hessian that is a diagonal plus a low-rank
 term it is the system itself (``Preconditioner.exact``). The low-rank
-term's Gram U' diag(1/d) U is built once per problem
-(``QpProblem.hessian_gram``); each iteration reads only the rows of U whose
-diagonal entry moved.
+term's Gram U' T^{-1} U comes from ``QpProblem.low_rank_gram``, which
+reads only the rows of U whose diagonal entry moved.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal,
-                    scaled_gram)
+from .model import BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal
 
 
 def _multiplier_view(family: int) -> property:
@@ -200,7 +198,8 @@ def preconditioner(op: KktOperator) -> Preconditioner:
     (2/D_i) max_j B_ij^2 / T0_j > 1, T0 = d + q_diag_extra, i.e. when its term
     outweighs a diagonal entry without any B row's term; at most
     ``_MAX_KEPT_ROWS`` rows are kept, those with the largest ratio.
-    T = T0 + diag(2B'D^{-1}B) over the other rows.
+    T = T0 + diag(2B'D^{-1}B) over the other rows; U'T^{-1}U is
+    ``QpProblem.low_rank_gram(T)``.
 
     With k = 0 and no row kept, V is empty and M is Jacobi. When T has an
     entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
@@ -222,7 +221,7 @@ def preconditioner(op: KktOperator) -> Preconditioner:
     if np.all(t > 0):
         try:
             return Preconditioner(
-                _woodbury_inverse(u, w, _low_rank_gram(op.problem, d, u, t),
+                _woodbury_inverse(u, w, op.problem.low_rank_gram(t),
                                   t, op.d_diag, layout, kept),
                 exact=op.m == 0 and op.problem.hessian.low_rank_exact)
         except np.linalg.LinAlgError:
@@ -231,20 +230,6 @@ def preconditioner(op: KktOperator) -> Preconditioner:
     diag = np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
     return Preconditioner(_woodbury_inverse(u[:, :0], w[:0], np.zeros((0, 0)), diag[:op.n],
                                             diag[op.n:], layout, kept[:0]))
-
-
-def _low_rank_gram(problem: QpProblem, d: np.ndarray, u: np.ndarray,
-                   t: np.ndarray) -> np.ndarray:
-    """U' T^{-1} U. With the problem's ``hessian_gram`` G0 = U' diag(1/d) U,
-    only the rows S of U where t != d are read:
-    G0 + sum_{j in S} u_j u_j' (1/t_j - 1/d_j)."""
-    if not u.shape[1]:
-        return np.zeros((0, 0))
-    base = problem.hessian_gram
-    if base is None:
-        return scaled_gram(u, 1.0 / t)
-    changed = np.flatnonzero(t != d)
-    return base + scaled_gram(u, 1.0 / t[changed] - 1.0 / d[changed], changed)
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:

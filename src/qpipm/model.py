@@ -14,6 +14,7 @@ d = diag(R), where k = 0 and d = diag(H) except for ``QuasiNewtonHessian``
 diagonal, so that ``low_rank()`` drops nothing (``DiagonalHessian`` and
 ``QuasiNewtonHessian``); ``validate()``, a list of violations (empty when
 valid); and ``to_json()``, the ``hessian`` member of the QP file format.
+The low-rank term's Gram U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
 """
 
 from __future__ import annotations
@@ -271,6 +272,10 @@ def scaled_gram(u: np.ndarray, scale: np.ndarray, rows: np.ndarray | None = None
     return gram
 
 
+def _positive_inverse(d: np.ndarray) -> np.ndarray:
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Two-sided extended-real bounds; -inf/+inf mark unbounded sides."""
@@ -334,11 +339,19 @@ class QpProblem:
         return BoundIndexMap.from_problem(self)
 
     @cached_property
-    def hessian_gram(self) -> np.ndarray | None:
-        """U' diag(1/d) U of ``hessian.low_rank()``, built on first use and
-        kept; None when some d_j <= 0."""
+    def _gram_base(self) -> np.ndarray:
+        """G0 = U' diag(1/d+) U of ``hessian.low_rank()``, built on first use and kept."""
         d, u, _ = self.hessian.low_rank()
-        return scaled_gram(u, 1.0 / d) if np.all(d > 0) else None
+        return scaled_gram(u, _positive_inverse(d))
+
+    def low_rank_gram(self, t: np.ndarray) -> np.ndarray:
+        """U' diag(1/t) U for the U of ``hessian.low_rank()`` and t > 0. Reads
+        only the rows S of U where t != d, which hold every d_j <= 0:
+        G0 + sum_{j in S} u_j u_j' (1/t_j - 1/d+_j), 1/d+ = 1/d where d > 0, else 0."""
+        d, u, _ = self.hessian.low_rank()
+        changed = np.flatnonzero(t != d)
+        return self._gram_base + scaled_gram(
+            u, 1.0 / t[changed] - _positive_inverse(d[changed]), changed)
 
 
 @dataclass(frozen=True)

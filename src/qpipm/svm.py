@@ -187,6 +187,10 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
     n = len(data)
     if n > MAX_PRECOMPUTED_SAMPLES:
         raise ValueError(f"{n} samples exceed the dense-kernel cap {MAX_PRECOMPUTED_SAMPLES}")
+    # the dense feature matrix gets the entry budget of the largest kernel
+    if n * data.n_features > MAX_PRECOMPUTED_SAMPLES ** 2:
+        raise ValueError(f"{n} samples x {data.n_features} features exceed the "
+                         f"dense-matrix cap of {MAX_PRECOMPUTED_SAMPLES ** 2} entries")
     if not (np.any(data.labels > 0) and np.any(data.labels < 0)):
         raise ValueError("dataset needs at least one sample of each class")
     y = data.labels

@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from qpipm.cli import (TRACE_HEADER, QpFileError, _report_summary,
                        build_parser, load_qp_file, main, parse_qp_document,
                        qp_document, write_trace)
 from qpipm.ipm import IpmConfig, SolveStatus, TraceRecord, solve
+from qpipm.linalg import PcgConfig
 from qpipm.model import (BoundIndexMap, DiagonalHessian, QuasiNewtonHessian,
                          SparseHessian, box_qp, validate_problem)
 
@@ -363,6 +366,13 @@ class TestSolveSvmCommand:
         data.write_text("+5 1:1\n")
         assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1"]) == 1
 
+    def test_huge_feature_index_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.svm"
+        data.write_text("+1 1:1 1000000000000000:1\n-1 2:1\n")
+        assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 samples x 1000000000000000 features exceed")
+
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_parse_error(self, value, tmp_path, capsys):
@@ -383,7 +393,7 @@ class TestCheckCommand:
         path = tmp_path / "dim.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
-        assert "violation" in capsys.readouterr().out
+        assert "error: member 'p' has wrong length" in capsys.readouterr().err
 
     def test_unreadable(self):
         assert main(["check", "/no/such/file"]) == 1
@@ -409,13 +419,68 @@ def _undecodable(path):
     return f"'{path}' is not UTF-8 text"
 
 
+def _n_beyond_index(path):
+    """Built n-sized default bounds: OverflowError."""
+    doc = box_qp_doc()
+    doc["n"] = 10**30
+    path.write_text(json.dumps(doc))
+    return "member 'p' has wrong length"
+
+
+def _n_million(path):
+    """Built n-sized defaults (2.4 s, 23 MB) before p's length was checked."""
+    doc = box_qp_doc()
+    doc["n"] = 10**6
+    path.write_text(json.dumps(doc))
+    return "member 'p' has wrong length"
+
+
 @pytest.mark.parametrize("command", ["check", "solve-qp"])
-@pytest.mark.parametrize("write", [_short_h0_diag, _boolean_n, _undecodable])
+@pytest.mark.parametrize("write", [_short_h0_diag, _boolean_n, _undecodable,
+                                   _n_beyond_index, _n_million])
 def test_bad_file_is_named_input_error(command, write, tmp_path, capsys):
     path = tmp_path / "bad.json"
     message = write(path)
     assert main([command, str(path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_short_p_is_rejected_before_n_sized_work():
+    doc = box_qp_doc()
+    doc["n"] = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(QpFileError, match="member 'p' has wrong length"):
+            parse_qp_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("command", ["check", "solve-qp"])
+@pytest.mark.parametrize("member, report", [("p", "p"), ("d", "hessian")])
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["positive", "negative"])
+def test_integer_beyond_floats_is_infinite(command, member, report, value, tmp_path,
+                                           capsys):
+    """json reads 1e400 as inf; an integer of 401 digits raised OverflowError."""
+    doc = box_qp_doc()
+    (doc if member == "p" else doc["hessian"])[member] = [value]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"non-finite data (inf) in {report}" in captured.out + captured.err
+
+
+def test_integer_beyond_floats_is_an_unbounded_bound():
+    """Infinite on its own side, as for 1e400."""
+    doc = box_qp_doc()
+    doc["lx"], doc["ux"] = [-10**400], [10**400]
+    doc["l"], doc["u"], doc["A"] = [-1.0], [1.0], {"rows": [0], "cols": [0], "vals": [1.0]}
+    problem = parse_qp_document(doc)
+    assert problem.var_bounds.lower[0] == -np.inf and problem.var_bounds.upper[0] == np.inf
+    assert validate_problem(problem) == []
 
 
 @pytest.mark.parametrize("command", ["check", "solve-qp"])
@@ -436,7 +501,6 @@ class TestFlagDefaults:
     def test_defaults_match_reference_values(self):
         parser = build_parser()
         args = parser.parse_args(["solve-qp", "x.json"])
-        assert args.gamma == 0.99
         assert args.mu_tol == 1e-6
         assert args.cg_tol == 1e-7
         assert args.cg_maxit == 5000
@@ -447,14 +511,15 @@ class TestFlagDefaults:
         with pytest.raises(SystemExit):
             parser.parse_args(["solve-qp", "--help"])
         out = capsys.readouterr().out
-        for flag, default in (("--gamma", "0.99"), ("--mu-tol", "1e-06"),
-                              ("--cg-tol", "1e-07"), ("--cg-maxit", "5000")):
+        for flag, default in (("--mu-tol", "1e-06"), ("--cg-tol", "1e-07"),
+                              ("--cg-maxit", "5000")):
             assert flag in out
             assert default in out
 
 
-@pytest.mark.parametrize("flags", [["--mu-init", "1"], ["--cg-tol-absolute"]],
-                         ids=["mu-init", "cg-tol-absolute"])
+@pytest.mark.parametrize("flags", [["--mu-init", "1"], ["--cg-tol-absolute"],
+                                   ["--gamma", "0.99"]],
+                         ids=["mu-init", "cg-tol-absolute", "gamma"])
 def test_removed_flag_is_unknown(flags, qp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve-qp", qp_path, *flags])
@@ -478,6 +543,13 @@ def test_readme_names_every_solver_option():
             assert re.search(rf"(?<![\w-]){opt}(?![\w-])", text), (command, opt)
 
 
+@pytest.mark.parametrize("config", [IpmConfig, PcgConfig], ids=lambda c: c.__name__)
+def test_readme_names_every_config_field(config):
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(rf"`{config.__name__}`\s+\(([^)]*)\)", text).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(config)]
+
+
 def test_readme_common_flags_are_accepted_with_their_defaults():
     text = README.read_text(encoding="utf-8")
     sentence = re.search(r"Common flags:(.*?)\.\s", text, re.S).group(1)
@@ -491,7 +563,6 @@ def test_readme_common_flags_are_accepted_with_their_defaults():
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("solve-qp", ["--gamma", "1.5"]),
     ("solve-qp", ["--cg-maxit", "0"]),
     ("solve-qp", ["--cg-tol", "0"]),
     ("solve-qp", ["--mu-tol", "-1"]),
@@ -500,7 +571,7 @@ def test_readme_common_flags_are_accepted_with_their_defaults():
     ("solve-svm", ["--sigma", "0", "--c", "1"]),
     ("solve-svm", ["--sigma", "nan", "--c", "1"]),
     ("solve-svm", ["--sigma", "1", "--c", "-1"]),
-], ids=["gamma", "cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "max-iter",
+], ids=["cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "max-iter",
         "sigma", "sigma-nan", "c"])
 def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, capsys):
     path = qp_path

@@ -496,16 +496,16 @@ def _box_quasi_newton(rng, h0, boxed):
     return box_qp(hessian, rng.standard_normal(n), lo, hi)
 
 
-def _from_scratch(problem):
-    """A copy of the problem without the cached Gram, as when some d_j <= 0."""
-    copy = replace(problem)
-    copy.__dict__["hessian_gram"] = None  # cached_property slot
-    return copy
+def _gram_oracle(problem, t):
+    """U' diag(1/t) U, built directly."""
+    _, u, _ = problem.hessian.low_rank()
+    return u.T @ (u / t[:, None])
 
 
 class TestCachedGram:
-    """U' diag(1/d) U is built once per problem; each preconditioner adds the
-    rows where T != d. It must match a build of U' T^{-1} U from scratch."""
+    """U' diag(1/d+) U is built once per problem (1/d+ = 1/d where d > 0, 0
+    elsewhere); each ``low_rank_gram(t)`` adds the rows where t != d, which
+    for t > 0 hold every d_j <= 0. It must match U' diag(1/t) U built directly."""
 
     @pytest.mark.parametrize("changed", ["none", "all"])
     def test_matches_a_build_from_scratch(self, rng, changed):
@@ -515,36 +515,35 @@ class TestCachedGram:
         op = build_operator(problem, state)
         if changed == "none":  # T = d: no row of U is read again
             op = replace(op, q_diag_extra=np.zeros(n))
-        scratch = replace(op, problem=_from_scratch(problem))
+        t = problem.hessian.h0_diag + op.q_diag_extra
         for _ in range(3):
-            v = rng.standard_normal(n)
-            np.testing.assert_allclose(preconditioner(op)(v), preconditioner(scratch)(v),
+            np.testing.assert_allclose(problem.low_rank_gram(t), _gram_oracle(problem, t),
                                        rtol=1e-12)
-        assert problem.hessian_gram is not None
         if changed == "all":
             m, _ = dense_preconditioner(problem, state)
+            v = rng.standard_normal(n)
             np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
                                        rtol=1e-10, atol=1e-12)
 
-    def test_nonpositive_d_makes_no_cache(self, rng):
+    def test_nonpositive_d_takes_the_cached_path(self, rng):
         n = 40
         h0 = rng.uniform(0.5, 2.0, n)
         h0[4] = 0.0  # a bounded variable: T_4 = lam/s > 0
         problem = _box_quasi_newton(rng, h0, np.arange(0, n, 2))
         state = random_interior_state(rng, problem)
         op = build_operator(problem, state)
+        t = h0 + op.q_diag_extra
+        np.testing.assert_allclose(problem.low_rank_gram(t), _gram_oracle(problem, t),
+                                   rtol=1e-12)
         v = rng.standard_normal(n)
-        got = preconditioner(op)(v)
-        assert problem.hessian_gram is None
-        np.testing.assert_allclose(got, preconditioner(
-            replace(op, problem=_from_scratch(problem)))(v), rtol=1e-12)
         m, _ = dense_preconditioner(problem, state)
-        np.testing.assert_allclose(got, np.linalg.solve(m, v), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
+                                   rtol=1e-10, atol=1e-12)
 
     def test_cache_is_freed_with_the_problem(self, rng):
         problem = _box_quasi_newton(rng, rng.uniform(0.5, 2.0, 20), np.arange(10))
         solve(problem)
-        gram = weakref.ref(problem.hessian_gram)
+        gram = weakref.ref(problem._gram_base)
         del problem
         gc.collect()
         assert gram() is None
