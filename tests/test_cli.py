@@ -373,6 +373,19 @@ class TestSolveSvmCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: 2 samples x 1000000000000000 features exceed")
 
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1e200\n-1 1:1\n+1 2:1\n",
+         "error: sample 1: squared feature norm"),
+        ("+1 99999999999999999999999999:1\n-1 1:1\n",
+         "error: line 1: feature index 99999999999999999999999999 out of range"),
+    ], ids=["square-overflows", "index-beyond-int64"])
+    def test_unrepresentable_sample_is_input_error(self, text, message, tmp_path, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text(text)
+        assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "training accuracy" not in captured.out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_parse_error(self, value, tmp_path, capsys):

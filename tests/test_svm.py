@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import rbf_kernel, sparse_to_dense
+from qpipm import svm
 from qpipm.ipm import SolveStatus, solve
 from qpipm.model import DenseHessian, validate_problem
 from qpipm.svm import (DegenerateModelError, SparseVector, SvmConfig,
@@ -59,6 +62,11 @@ class TestParseLibsvm:
         with pytest.raises(SvmParseError, match=f"line 1: feature index {index} out of "
                                                 r"range \(indices are 1-based\)"):
             parse_libsvm(f"+1 {index}:1.0")
+
+    def test_index_beyond_int64_is_out_of_range(self):
+        with pytest.raises(SvmParseError, match="line 2: feature index "
+                                                "99999999999999999999999999 out of range"):
+            parse_libsvm("-1 1:1\n+1 2:1 99999999999999999999999999:1")
 
     def test_blank_lines_skipped(self):
         data = parse_libsvm("+1 1:1\n\n-1 1:2\n")
@@ -130,6 +138,67 @@ class TestBuildSvmDual:
                 expected = y[i] * y[j] * rbf_kernel(
                     data.samples[i], data.samples[j], cfg.sigma)
                 assert p.hessian.m[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, block", [(7, None), (23, 4 * 23), (40, 40)],
+                             ids=["one-block", "partial-last-block", "one-row-blocks"])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 6.0])
+    def test_blocked_build_matches_pairwise_kernel(self, rng, monkeypatch, n, block, sigma):
+        """Real-valued features, one sample without any and three repeated
+        ones, whose distance may round above 0; with ``block`` set, the rows
+        per block (block // n) leave a partial last block or one row."""
+        if block is not None:
+            monkeypatch.setattr(svm, "_KERNEL_BLOCK", block)
+        lines = ["+1", "-1 2:0.5"] + [
+            f"{'+1' if rng.random() < 0.5 else '-1'} " + " ".join(
+                f"{j + 1}:{rng.standard_normal():.6f}" for j in range(5))
+            for _ in range(n - 5)]
+        lines += lines[-3:]
+        data = parse_libsvm("\n".join(lines))
+        h = build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian.m
+        assert np.array_equal(h, h.T)
+        assert np.all(np.diag(h) == 1.0)
+        assert np.all(np.abs(h) <= 1.0)
+        y = data.labels
+        expected = [[y[i] * y[j] * rbf_kernel(data.samples[i], data.samples[j], sigma)
+                     for j in range(n)] for i in range(n)]
+        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e-15, 1e-300])
+    def test_kernel_diagonal_is_exactly_one(self, rng, sigma):
+        """K(x, x) = 1 for real-valued features at any sigma. The last two
+        samples sit 2e5 apart, so at sigma = 1e-300 -d²/(2σ) overflows."""
+        lines = [f"{'+1' if i % 2 else '-1'} " + " ".join(
+            f"{j + 1}:{rng.standard_normal():.17g}" for j in range(30)) for i in range(198)]
+        lines += ["+1 1:1e5", "-1 1:-1e5"]
+        data = parse_libsvm("\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian.m
+        assert np.all(np.diag(h) == 1.0)
+        if sigma == 1e-300:
+            assert np.array_equal(h, np.eye(200))
+
+    def test_build_allocates_one_n_by_n_array(self, rng, monkeypatch):
+        """Peak memory: H plus one row block and O(n·d) for the features."""
+        monkeypatch.setattr(svm, "_KERNEL_BLOCK", 1 << 12)
+        n, d = 600, 8
+        data = parse_libsvm("\n".join(
+            f"{'+1' if i % 2 else '-1'} " + " ".join(
+                f"{j + 1}:{rng.standard_normal():.6f}" for j in range(d)) for i in range(n)))
+        rows = svm._KERNEL_BLOCK // n
+        tracemalloc.start()
+        try:
+            build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * n + rows * n + 4 * n * (d + 2) + 16 * n)
+
+    def test_overflowing_squared_norm_is_rejected_before_the_kernel(self):
+        data = parse_libsvm("+1 2:1\n+1 1:1e200\n-1 1:1\n")
+        with pytest.raises(ValueError, match="sample 2: squared feature norm"):
+            build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
+        assert data._kernel is None
 
     def test_psd_spot_check(self, rng):
         data = parse_libsvm("\n".join(
