@@ -70,6 +70,25 @@ def test_breakdown_carries_the_same_best_iterate():
     assert results[0].iterations == results[1].iterations
 
 
+def test_drift_restart_takes_the_same_steps():
+    # Hilbert(10) with an identity preconditioner: the recurrence residual
+    # drifts below the tolerance while the explicit one does not, so PCG
+    # restarts. Without a restart, PCG applies the operator once per step
+    # and once for the final explicit residual; each restart adds one.
+    n = 10
+    hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
+    cfg = PcgConfig(tol=1e-10)
+    applied = []
+
+    def apply_op(v):
+        applied.append(1)
+        return hilbert @ v
+
+    res = pcg(apply_op, lambda v: v, np.ones(n), cfg)
+    assert res.converged and len(applied) > res.iterations + 1
+    assert_same_result(lambda v: hilbert @ v, lambda v: v, np.ones(n), cfg)
+
+
 def test_doubly_augmented_systems(rng):
     for _ in range(15):
         problem = random_problem(rng)
