@@ -25,6 +25,10 @@ class InteriorityError(RuntimeError):
     """A step left the strictly positive region; indicates a corrupted direction."""
 
 
+class _LinearSolverFailure(RuntimeError):
+    """PCG broke down before its first step or returned a non-finite solution."""
+
+
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     ITERATION_LIMIT = "iteration_limit"
@@ -191,9 +195,9 @@ def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig,
 def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
                       state: IterateState, cfg: PcgConfig,
                       direction_solver: DirectionSolver,
-                      x0: np.ndarray | None) -> tuple[FullDirection | None, PcgResult]:
-    """One Newton direction for the residuals ``res``; None when PCG broke
-    down before its first step or returned a non-finite solution.
+                      x0: np.ndarray | None) -> tuple[FullDirection, PcgResult]:
+    """One Newton direction for the residuals ``res``; _LinearSolverFailure
+    when PCG broke down before its first step or returned a non-finite solution.
 
     PCG starts at ``x0``, or at M^{-1} rhs when the preconditioner is exact:
     its explicit residual test then accepts that start with 0 CG
@@ -208,7 +212,7 @@ def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
     # a breakdown before the first CG step leaves the start, which carries
     # no information about this system
     if (cg.iterations == 0 and not cg.converged) or not np.all(np.isfinite(cg.solution)):
-        return None, cg
+        raise _LinearSolverFailure
     return recover_directions(op, *op.split(cg.solution), res, state), cg
 
 
@@ -234,11 +238,12 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     corrector's target sigma mu; its cg_iters sums both solves.
 
     The solve converges by ``_converged``; the trace records the three
-    measures of ``infeasibilities`` that it bounds. A non-finite residual,
-    right-hand side or direction (numpy floating-point errors raise inside
-    the loop) or a step out of the interior ends it as numerical_failure,
-    with the last iterate whose residuals were finite. The objective is inf
-    or NaN when it overflows.
+    measures of ``infeasibilities`` that it bounds. A failed PCG solve (see
+    ``_newton_direction``) ends it as linear_solver_failure. A non-finite
+    residual, right-hand side or direction (numpy floating-point errors
+    raise inside the loop) or a step out of the interior ends it as
+    numerical_failure, with the last iterate whose residuals were finite.
+    The objective is inf or NaN when it overflows.
 
     direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting
     the linear solver (used by tests to compare PCG against a dense
@@ -263,16 +268,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                 affine, cg_aff = _newton_direction(
                     op, prec, replace(res, r_c=gap), state, cfg.pcg,
                     direction_solver, None)
-                if affine is None:
-                    status = SolveStatus.LINEAR_SOLVER_FAILURE
-                    break
                 sigma_mu = update_barrier(state, affine, cfg)
                 direction, cg_corr = _newton_direction(
                     op, prec, replace(res, r_c=gap + affine.ds * affine.d_lam - sigma_mu),
                     state, cfg.pcg, direction_solver, cg_aff.solution)
-                if direction is None:
-                    status = SolveStatus.LINEAR_SOLVER_FAILURE
-                    break
 
                 alpha_x, alpha_lam = step_lengths(state, direction, FRACTION_TO_BOUNDARY)
                 new = apply_step(state, direction, alpha_x, alpha_lam)
@@ -296,6 +295,8 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                 if _converged(problem, measures, cfg.mu_tol):
                     status = SolveStatus.CONVERGED
                     break
+        except _LinearSolverFailure:
+            status = SolveStatus.LINEAR_SOLVER_FAILURE
         except (FloatingPointError, InteriorityError):
             status = SolveStatus.NUMERICAL_FAILURE
 

@@ -236,13 +236,10 @@ def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
     """Sorted indices of the rows i of b with 2 inv_d_i max_j b_ij^2 / t0_j > 1,
     the ``_MAX_KEPT_ROWS`` largest if more. Columns with t0_j <= 0 are skipped."""
     inv_t0 = np.divide(1.0, t0, out=np.zeros_like(t0), where=t0 > 0)
-    entries = b.data * b.data * inv_t0[b.indices]
-    starts = b.indptr[:-1]
-    nonempty = b.indptr[1:] > starts
-    row_max = np.zeros(b.shape[0])
-    if len(entries):
-        row_max[nonempty] = np.maximum.reduceat(entries, starts[nonempty])
-    ratio = 2.0 * inv_d * row_max
+    weighted = b.copy()
+    # entries are >= 0: implicit zeros leave a row's maximum, an empty row's is 0
+    weighted.data = b.data * b.data * inv_t0[b.indices]
+    ratio = 2.0 * inv_d * weighted.max(axis=1).toarray().ravel()
     kept = np.flatnonzero(ratio > 1.0)
     if len(kept) > _MAX_KEPT_ROWS:
         strongest = np.argpartition(ratio[kept], -_MAX_KEPT_ROWS)[-_MAX_KEPT_ROWS:]

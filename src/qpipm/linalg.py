@@ -50,9 +50,9 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
 
     Converged means the UNpreconditioned residual ||rhs - Op x||_2 is at most
     cfg.tol * ||rhs||_2. The recurrence residual drives the loop; on
-    acceptance the true residual is recomputed explicitly and the iteration
-    restarts if drift pushed it back above the threshold. Returns the best
-    iterate seen (by residual norm).
+    acceptance the true residual is recomputed explicitly; if drift pushed it
+    back above the threshold, the next step restarts from it with beta = 0.
+    Returns the best iterate seen (by residual norm).
 
     Raises PcgBreakdownError when p'(Op p) <= 0 or NaN is encountered.
 
@@ -74,10 +74,14 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         return PcgResult(x, 0, rnorm, True)
 
     tmp = np.empty_like(rhs)
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = np.zeros_like(rhs)
+    rz, restart = 0.0, True  # the first step, like a restart, has beta = 0
     for k in range(1, cfg.max_iters + 1):
+        z = apply_prec(r)
+        rz_next = float(r @ z)
+        p *= 0.0 if restart else rz_next / rz  # p = z + beta * p; the sum commutes exactly
+        p += z
+        rz = rz_next
         op_p = apply_op(p)
         pap = float(p @ op_p)
         if not pap > 0:  # also catches NaN from a non-finite preconditioner
@@ -91,27 +95,17 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         if rnorm < best_rnorm:
             np.copyto(best_x, x)
             best_rnorm = rnorm
-        if rnorm <= threshold:
+        restart = rnorm <= threshold
+        if restart:
             true_r = rhs - apply_op(x)
             true_norm = np.linalg.norm(true_r)
             if true_norm <= threshold:
                 return PcgResult(x, k, true_norm, True)
             # recurrence drifted: restart from the explicit residual
-            r = true_r
-            rnorm = true_norm
+            r, rnorm = true_r, true_norm
             if rnorm < best_rnorm:
                 np.copyto(best_x, x)
                 best_rnorm = rnorm
-            z = apply_prec(r)
-            np.copyto(p, z)
-            rz = float(r @ z)
-            continue
-        z = apply_prec(r)
-        rz_next = float(r @ z)
-        beta = rz_next / rz
-        rz = rz_next
-        p *= beta  # p = z + beta * p; the sum commutes exactly
-        p += z
 
     true_norm = np.linalg.norm(rhs - apply_op(best_x))
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)

@@ -264,12 +264,17 @@ def predict(model: SvmModel, x: SparseVector) -> tuple[float, int]:
     """Decision value and label for one sample; ties go to +1.
 
     Features past the training ``n_features`` meet only zeros in the
-    support vectors, so they count in ||x||^2 alone."""
+    support vectors, so they count in ||x||^2 alone. An ||x||^2 that
+    overflows is a ValueError, as in training."""
+    with np.errstate(over="ignore"):
+        sq = x.squared_norm()
+    if not np.isfinite(sq):
+        raise ValueError("squared feature norm overflows the float range")
     d = model.sv_rows.shape[1]
     inside = x.indices < d
     xd = np.zeros(d)
     xd[x.indices[inside]] = x.values[inside]
-    d2 = (model.sv_sq + x.squared_norm()) - 2.0 * (model.sv_rows @ xd)
+    d2 = (model.sv_sq + sq) - 2.0 * (model.sv_rows @ xd)
     k = np.exp(np.maximum(d2, 0.0) / (-2.0 * model.config.sigma))
     score = model.bias + float((model.sv_coef * k).sum())
     return score, (1 if score >= 0 else -1)

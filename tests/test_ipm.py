@@ -15,7 +15,7 @@ from qpipm.ipm import (InteriorityError, IpmConfig, SolveStatus, apply_step,
 from qpipm.kkt import (FullDirection, Residuals, apply_doubly_augmented,
                        build_operator, compute_residuals, preconditioner,
                        recover_directions)
-from qpipm.linalg import PcgConfig, PcgResult, pcg
+from qpipm.linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp)
 
@@ -185,6 +185,29 @@ class TestInfeasibilities:
         state = _state_with_slacks([1.0, 2.0, 2.0], [1.0, 1.0, 1.0])
         res = self._res(r_c=[0.0, 1.0, 1.0])
         assert infeasibilities(res, state)[2] == 3.0
+
+
+class TestLinearSolverFailure:
+    @pytest.mark.parametrize("failure", ["breakdown", "non_finite"])
+    def test_failure_after_an_iteration_reports_the_last_iterate(self, failure):
+        # PCG fails in the second iteration's predictor: the report holds
+        # the first iterate, whose measures the trace recorded
+        calls = []
+
+        def direction(op, rhs, cfg, prec, x0):
+            calls.append(1)
+            if len(calls) <= 2:
+                return ipm._pcg_direction(op, rhs, cfg, prec, x0)
+            if failure == "breakdown":
+                raise PcgBreakdownError(PcgResult(np.zeros(op.dim), 0, np.inf, False))
+            return PcgResult(np.full(op.dim, np.nan), 1, np.inf, False)
+
+        p = equality_problem()
+        rep = solve(p, direction_solver=direction)
+        assert rep.status is SolveStatus.LINEAR_SOLVER_FAILURE and rep.iterations == 1
+        last = rep.trace[-1]
+        assert infeasibilities(compute_residuals(p, rep.state), rep.state) \
+            == (last.primal_inf, last.dual_inf, last.compl_inf)
 
 
 class TestUpdateBarrier:

@@ -11,9 +11,9 @@ from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
                      dense_hessian, dense_preconditioner, dense_solve, make_state,
                      random_interior_state, random_problem, sparse_from_dense)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
-from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
-                       compute_residuals, jacobi_diagonal, preconditioner,
-                       recover_directions)
+from qpipm.kkt import (_dominant_rows, apply_doubly_augmented, assemble_rhs,
+                       build_operator, compute_residuals, jacobi_diagonal,
+                       preconditioner, recover_directions)
 from qpipm.model import (BoundIndexMap, Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, box_qp)
 
@@ -383,6 +383,36 @@ class TestPreconditioner:
         np.testing.assert_allclose(preconditioner(op)(v), np.linalg.solve(m, v),
                                    rtol=1e-12)
         assert not np.allclose(preconditioner(op)(v), (1.0 / jacobi_diagonal(op)) * v)
+
+    @staticmethod
+    def _kept_rows_case(name):
+        """(problem, state, kept rows) for one edge case of the row choice."""
+        if name == "no_rows":  # an empty B, as on box-constrained QPs
+            problem = box_qp(QuasiNewtonHessian([1.0, 2.0], [[1.0], [0.5]], [0.7]),
+                             [1.0, -1.0], [-1.0, -np.inf], [1.0, 2.0])
+            return problem, initialize(problem, IpmConfig()), []
+        if name == "empty_row":
+            # row 0 stores nothing: not kept even with D_0 = 1e-8
+            h, a, s = DiagonalHessian([1.0, 1.0]), [[0.0, 0.0], [2.0, 2.0]], [1e-8, 1.0]
+        else:
+            # T0 = (0, 1): row 0's column 0 is skipped and column 1 gives
+            # 2 * 0.01 < 1; row 1 gives 2 * 4 > 1
+            h, a, s = DiagonalHessian([0.0, 1.0]), [[2.0, 0.1], [0.0, 2.0]], [1.0, 1.0]
+        problem = QpProblem(
+            n=2, hessian=h, p=[0.0, 0.0], a=sparse_from_dense(a),
+            lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
+            c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
+        return problem, make_state([0.0, 0.0], 0.1, s_lA=s, lam_lA=[1.0, 1.0]), [1]
+
+    @pytest.mark.parametrize("name", ["no_rows", "empty_row", "nonpositive_t0"])
+    def test_kept_rows_match_the_dense_oracle(self, name):
+        problem, state, kept = self._kept_rows_case(name)
+        op = build_operator(problem, state)
+        d, _, _ = problem.hessian.low_rank()
+        got = _dominant_rows(problem.layout.b, d + op.q_diag_extra, 1.0 / op.d_diag)
+        assert got.tolist() == dense_preconditioner(problem, state)[1] == kept
+        if name == "empty_row":
+            assert problem.layout.b[0].nnz == 0
 
     def test_kept_rows_make_no_product_with_all_of_bt(self):
         # the instance of test_dominant_row_is_kept_and_weak_row_folded: row 0

@@ -311,6 +311,12 @@ class TestTrainAndPredict:
             assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert label == (1 if expected >= 0 else -1)
 
+    def test_overflowing_squared_norm_is_rejected_by_predict(self):
+        data = parse_libsvm("+1 1:1\n-1 2:1\n")
+        _, model = self.train(data, SvmConfig(sigma=1.0, c=1.0))
+        with pytest.raises(ValueError, match="squared feature norm overflows"):
+            predict(model, parse_libsvm("+1 1:1e200\n").samples[0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SvmConfig(sigma=0.0, c=1.0)
