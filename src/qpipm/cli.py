@@ -233,6 +233,17 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="print one summary line per IPM iteration")
 
 
+def _check_outputs(args) -> None:
+    """Open each output path for appending, so that an unwritable one is a
+    ValueError before the solve instead of a traceback after it."""
+    for flag, path in (("--solution", args.solution), ("--trace", args.trace)):
+        if path:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write {flag} file '{path}': {exc}") from None
+
+
 def _ipm_config(args) -> IpmConfig:
     return IpmConfig(mu_tol=args.mu_tol, max_iters=args.max_iter,
                      pcg=PcgConfig(tol=args.cg_tol, max_iters=args.cg_maxit))
@@ -284,7 +295,8 @@ def cmd_solve_qp(args) -> int:
     try:
         cfg = _ipm_config(args)
         problem = load_qp_file(args.file)
-    except ValueError as exc:  # out-of-range flag or QpFileError
+        _check_outputs(args)
+    except ValueError as exc:  # out-of-range flag, QpFileError or unwritable output
         return _input_error(exc)
     violations = validate_problem(problem)
     if violations:
@@ -302,21 +314,24 @@ def cmd_solve_svm(args) -> int:
         with open(args.file, "rb") as fh:
             data = svm.parse_libsvm(fh.read())
         problem = svm.build_svm_dual(data, cfg)
+        _check_outputs(args)
     except OSError as exc:
         return _input_error(f"cannot read '{args.file}': {exc}")
-    except ValueError as exc:  # out-of-range flag, SvmParseError or unusable dataset
+    except ValueError as exc:  # bad flag, SvmParseError, unusable dataset or output
         return _input_error(exc)
     report = solve(problem, ipm_cfg, verbose=args.verbose)
     extra: dict = {"alpha": report.x.tolist()}
-    try:
-        model = svm.extract_model(data, cfg, report.x)
-        extra.update(bias=model.bias,
-                     support_indices=model.support_indices.tolist(),
-                     training_accuracy=svm.training_accuracy(model))
-        print(f"training accuracy: {extra['training_accuracy']:.4f} "
-              f"({len(model.support_indices)} support vectors)")
-    except svm.DegenerateModelError as exc:
-        print(f"warning: {exc}", file=sys.stderr)
+    # after a solver failure alpha is no trained dual, so no model is reported
+    if report.status in (SolveStatus.CONVERGED, SolveStatus.ITERATION_LIMIT):
+        try:
+            model = svm.extract_model(data, cfg, report.x)
+            extra.update(bias=model.bias,
+                         support_indices=model.support_indices.tolist(),
+                         training_accuracy=svm.training_accuracy(model))
+            print(f"training accuracy: {extra['training_accuracy']:.4f} "
+                  f"({len(model.support_indices)} support vectors)")
+        except svm.DegenerateModelError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
     return _finish(report, problem, args, extra)
 
 

@@ -1,5 +1,8 @@
 """SVM dual frontend: LIBSVM parsing, RBF kernel, dual QP construction,
-bias recovery and prediction."""
+bias recovery and prediction.
+
+A dataset holds its samples as the rows of one CSR matrix; ``predict``
+takes one such row, for example ``data.samples[j]``."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Bounds, DenseHessian, QpProblem, SparseMatrix, hessian_apply
+from .model import Bounds, DenseHessian, QpProblem, _canonical_csr, hessian_apply
 
 MAX_PRECOMPUTED_SAMPLES = 20000
 # Entries per row block of the kernel build (rows = this // n). At n = 4000
@@ -29,43 +32,25 @@ class DegenerateModelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sparse feature vector with strictly increasing 0-based indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def squared_norm(self) -> float:
-        return float(self.values @ self.values)
-
-
-def _dense_rows(samples, n_features: int) -> np.ndarray:
-    x = np.zeros((len(samples), n_features))
-    for i, s in enumerate(samples):
-        x[i, s.indices] = s.values
-    return x
-
-
-@dataclass(frozen=True)
 class SvmDataset:
-    samples: list[SparseVector]
+    """Samples as the rows of ``samples``, a canonical CSR copy of the given
+    scipy sparse matrix (see ``QpProblem``), and their ±1 ``labels``."""
+
+    samples: sp.csr_matrix
     labels: np.ndarray
-    n_features: int
     # (sigma, H): the last signed kernel built, see _signed_kernel
     _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", _canonical_csr(self.samples))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
 
     def __len__(self):
-        return len(self.samples)
+        return self.samples.shape[0]
 
-    def dense_matrix(self) -> np.ndarray:
-        return _dense_rows(self.samples, self.n_features)
+    @property
+    def n_features(self) -> int:
+        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,7 @@ class SvmModel:
 
     def __post_init__(self):
         data, sv = self.dataset, self.support_indices
-        rows = _dense_rows([data.samples[i] for i in sv], data.n_features)
+        rows = data.samples[sv].toarray()
         object.__setattr__(self, "sv_rows", rows)
         object.__setattr__(self, "sv_sq", (rows * rows).sum(axis=1))
         object.__setattr__(self, "sv_coef", self.alpha[sv] * data.labels[sv])
@@ -109,9 +94,8 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
         except UnicodeDecodeError as exc:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise SvmParseError(f"line {lineno}: not UTF-8 text") from None
-    samples: list[SparseVector] = []
+    indptr, indices, values = [0], [], []
     labels: list[float] = []
-    n_features = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -123,8 +107,6 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
             raise SvmParseError(f"line {lineno}: label '{tokens[0]}' is not numeric") from None
         if label not in (1.0, -1.0):
             raise SvmParseError(f"line {lineno}: non-binary label {tokens[0]} (expected +1/-1)")
-        idx: list[int] = []
-        vals: list[float] = []
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -140,16 +122,17 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
             if i <= prev:
                 raise SvmParseError(f"line {lineno}: feature indices not strictly increasing")
             prev = i
-            idx.append(i - 1)
-            vals.append(v)
-        if prev > 2 ** 63:  # indices increase, so prev is the largest; i - 1 must fit int64
+            indices.append(i - 1)
+            values.append(v)
+        # indices increase, so prev is the largest; as a column count it must fit int64
+        if prev >= 2 ** 63:
             raise SvmParseError(f"line {lineno}: feature index {prev} out of range")
-        n_features = max(n_features, prev)
-        samples.append(SparseVector(np.array(idx, dtype=np.int64), np.array(vals)))
+        indptr.append(len(indices))
         labels.append(label)
-    if not samples:
+    if not labels:
         raise SvmParseError("no samples in input")
-    return SvmDataset(samples=samples, labels=np.array(labels), n_features=n_features)
+    shape = (len(labels), max(indices, default=-1) + 1)
+    return SvmDataset(sp.csr_matrix((values, indices, indptr), shape=shape), np.array(labels))
 
 
 def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:
@@ -166,7 +149,7 @@ def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:
     if data._kernel is not None and data._kernel[0] == sigma:
         return data._kernel[1]
     object.__setattr__(data, "_kernel", None)  # free the old H before building
-    x = data.dense_matrix()
+    x = data.samples.toarray()
     y = data.labels
     sq = np.einsum("ij,ij->i", x, x)  # no temporary; an overflow is inf without a warning
     bad = np.flatnonzero(~np.isfinite(sq))
@@ -219,7 +202,7 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
         p=-np.ones(n),
         a=sp.csr_matrix((0, n)),
         lin_bounds=Bounds.free(0),
-        c=SparseMatrix.from_coo(1, n, np.zeros(n, dtype=np.int64), np.arange(n), y),
+        c=sp.csr_matrix(y[None, :]),
         b=np.zeros(1),
         var_bounds=Bounds(np.zeros(n), np.full(n, cfg.c)),
     )
@@ -260,20 +243,21 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
                     dataset=data, config=cfg)
 
 
-def predict(model: SvmModel, x: SparseVector) -> tuple[float, int]:
-    """Decision value and label for one sample; ties go to +1.
+def predict(model: SvmModel, x: sp.csr_matrix) -> tuple[float, int]:
+    """Decision value and label for one sample ``x``, a row of a canonical
+    CSR matrix such as ``SvmDataset.samples[j]``; ties go to +1.
 
     Features past the training ``n_features`` meet only zeros in the
     support vectors, so they count in ||x||^2 alone. An ||x||^2 that
     overflows is a ValueError, as in training."""
     with np.errstate(over="ignore"):
-        sq = x.squared_norm()
+        sq = float(x.data @ x.data)
     if not np.isfinite(sq):
         raise ValueError("squared feature norm overflows the float range")
     d = model.sv_rows.shape[1]
     inside = x.indices < d
     xd = np.zeros(d)
-    xd[x.indices[inside]] = x.values[inside]
+    xd[x.indices[inside]] = x.data[inside]
     d2 = (model.sv_sq + sq) - 2.0 * (model.sv_rows @ xd)
     k = np.exp(np.maximum(d2, 0.0) / (-2.0 * model.config.sigma))
     score = model.bias + float((model.sv_coef * k).sum())

@@ -15,7 +15,6 @@ from qpipm.linalg import PcgBreakdownError, PcgResult
 from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
                          QpProblem, QuasiNewtonHessian, SparseHessian,
                          SparseMatrix)
-from qpipm.svm import SparseVector
 
 
 def spmv(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -158,13 +157,14 @@ def dense_hessian(h) -> np.ndarray:
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
 
 
-def sparse_dot(x: SparseVector, y: SparseVector) -> float:
-    """Sparse dot product by merged iteration over the two index lists."""
+def sparse_dot(x: sp.csr_matrix, y: sp.csr_matrix) -> float:
+    """Dot product of two one-row canonical CSR matrices (any widths), by
+    merged iteration over the two index lists."""
     i = j = 0
     acc = 0.0
     while i < len(x.indices) and j < len(y.indices):
         if x.indices[i] == y.indices[j]:
-            acc += x.values[i] * y.values[j]
+            acc += x.data[i] * y.data[j]
             i += 1
             j += 1
         elif x.indices[i] < y.indices[j]:
@@ -174,9 +174,10 @@ def sparse_dot(x: SparseVector, y: SparseVector) -> float:
     return acc
 
 
-def rbf_kernel(xi: SparseVector, xj: SparseVector, sigma: float) -> float:
-    """exp(-||xi - xj||^2 / (2 sigma)), one pair at a time."""
-    d2 = xi.squared_norm() + xj.squared_norm() - 2.0 * sparse_dot(xi, xj)
+def rbf_kernel(xi: sp.csr_matrix, xj: sp.csr_matrix, sigma: float) -> float:
+    """exp(-||xi - xj||^2 / (2 sigma)) of two one-row CSR samples, one pair
+    at a time."""
+    d2 = sparse_dot(xi, xi) + sparse_dot(xj, xj) - 2.0 * sparse_dot(xi, xj)
     return math.exp(-max(d2, 0.0) / (2.0 * sigma))
 
 

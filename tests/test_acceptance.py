@@ -22,7 +22,7 @@ from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
 from qpipm.linalg import PcgConfig, pcg
 from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseMatrix, box_qp)
-from qpipm.svm import SvmConfig, build_svm_dual, parse_libsvm
+from qpipm.svm import SvmConfig, SvmDataset, build_svm_dual, parse_libsvm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -221,18 +221,17 @@ def test_criterion_7_supplement_synthetic_a1a_scale():
     Not a substitute for criterion 7 (which needs the real file); it exercises
     the same code path and the Table-1 dimension bookkeeping.
     """
-    from qpipm.svm import SparseVector, SvmDataset
-
     rng = np.random.default_rng(90210)
     n, d = 1605, 119
-    samples, labels = [], []
+    cols, labels = [], []
     for _ in range(n):
         y = 1 if rng.random() < 0.25 else -1
         pool = d // 2 if y > 0 else d
-        idx = np.sort(rng.choice(pool, 14, replace=False))
-        samples.append(SparseVector(idx, np.ones(14)))
+        cols.append(np.sort(rng.choice(pool, 14, replace=False)))
         labels.append(y)
-    data = SvmDataset(samples, np.array(labels, dtype=float), d)
+    samples = sp.csr_matrix((np.ones(14 * n), np.concatenate(cols),
+                             np.arange(0, 14 * n + 1, 14)), shape=(n, d))
+    data = SvmDataset(samples, np.array(labels, dtype=float))
     problem = build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
     assert problem.n == 1605 and problem.m_eq == 1
     assert int(np.isfinite(problem.var_bounds.lower).sum()

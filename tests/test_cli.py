@@ -231,6 +231,15 @@ class TestSolveQpCommand:
     def test_file_not_found(self, capsys):
         assert main(["solve-qp", "/no/such/file.json"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--trace", "--solution"])
+    def test_unwritable_output_is_input_error_before_the_solve(self, flag, qp_path,
+                                                                tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out")
+        assert main(["solve-qp", qp_path, flag, out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {flag} file '{out}'")
+        assert "status=" not in captured.out
+
     def test_verbose_prints_iterations(self, qp_path, capsys):
         assert main(["solve-qp", qp_path, "--verbose"]) == 0
         out = capsys.readouterr().out
@@ -352,6 +361,39 @@ class TestSolveSvmCommand:
         captured = capsys.readouterr()
         assert "(2 support vectors)" in captured.out
         assert "warning" not in captured.err
+
+    def test_failed_solve_reports_no_model(self, tmp_path, capsys):
+        """The start point alpha = c/2 = 5e299 overflows the residuals."""
+        data = tmp_path / "tiny.svm"
+        data.write_text("+1 1:1\n+1 2:1\n-1 3:1\n")
+        sol = str(tmp_path / "model.json")
+        code = main(["solve-svm", str(data), "--sigma", "1", "--c", "1e300",
+                     "--solution", sol])
+        assert code == 4
+        doc = json.load(open(sol))
+        assert doc["status"] == "numerical_failure" and len(doc["alpha"]) == 3
+        assert not {"bias", "support_indices", "training_accuracy"} & set(doc)
+        assert "training accuracy" not in capsys.readouterr().out
+
+    def test_iteration_limit_reports_a_model(self, tmp_path, capsys):
+        data = tmp_path / "tiny.svm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        sol = str(tmp_path / "model.json")
+        code = main(["solve-svm", str(data), "--sigma", "1", "--c", "10",
+                     "--max-iter", "1", "--solution", sol])
+        assert code == 2
+        assert {"bias", "support_indices", "training_accuracy"} <= set(json.load(open(sol)))
+        assert "training accuracy" in capsys.readouterr().out
+
+    def test_unwritable_output_is_input_error_before_the_solve(self, tmp_path, capsys):
+        data = tmp_path / "tiny.svm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        out = str(tmp_path / "missing" / "trace.csv")
+        assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1",
+                     "--trace", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write --trace file '{out}'")
+        assert captured.out == ""
 
     def test_missing_sigma_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "tiny.svm"

@@ -4,19 +4,22 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import rbf_kernel, sparse_to_dense
 from qpipm import svm
 from qpipm.ipm import SolveStatus, solve
 from qpipm.model import DenseHessian, validate_problem
-from qpipm.svm import (DegenerateModelError, SparseVector, SvmConfig,
-                       SvmDataset, SvmModel, SvmParseError, build_svm_dual,
-                       extract_model, parse_libsvm, predict, training_accuracy)
+from qpipm.svm import (DegenerateModelError, SvmConfig, SvmDataset, SvmModel,
+                       SvmParseError, build_svm_dual, extract_model,
+                       parse_libsvm, predict, training_accuracy)
 
 
 def vec(pairs):
+    """One sample as a one-row CSR matrix as wide as its largest index."""
     idx, vals = zip(*pairs) if pairs else ((), ())
-    return SparseVector(np.array(idx, dtype=np.int64), np.array(vals))
+    return sp.csr_matrix((np.array(vals, dtype=np.float64), np.array(idx, dtype=np.int64),
+                          [0, len(idx)]), shape=(1, max(idx, default=-1) + 1))
 
 
 def two_point_dataset():
@@ -31,7 +34,18 @@ class TestParseLibsvm:
         assert data.n_features == 3
         np.testing.assert_array_equal(data.labels, [1.0, -1.0])
         np.testing.assert_array_equal(data.samples[0].indices, [0, 2])
-        np.testing.assert_array_equal(data.samples[1].values, [2.0])
+        np.testing.assert_array_equal(data.samples[1].data, [2.0])
+
+    def test_csr_structure(self):
+        """One row per sample, empty rows for feature-less samples."""
+        data = parse_libsvm("+1 1:0.5 3:1\n-1\n\n+1 2:2 4:-1.5 7:3\n")
+        m = data.samples
+        assert type(m) is sp.csr_matrix
+        assert m.shape == (3, 7) and m.dtype == np.float64
+        assert m.has_canonical_format
+        np.testing.assert_array_equal(m.indptr, [0, 2, 2, 5])
+        np.testing.assert_array_equal(m.indices, [0, 2, 1, 3, 6])
+        np.testing.assert_array_equal(m.data, [0.5, 1.0, 2.0, -1.5, 3.0])
 
     def test_empty_stream(self):
         with pytest.raises(SvmParseError, match="no samples"):
@@ -68,9 +82,33 @@ class TestParseLibsvm:
                                                 "99999999999999999999999999 out of range"):
             parse_libsvm("-1 1:1\n+1 2:1 99999999999999999999999999:1")
 
+    def test_index_of_two_to_the_63_is_out_of_range(self):
+        """The largest index is the column count, which must fit int64."""
+        assert parse_libsvm(f"+1 {2 ** 63 - 1}:1").n_features == 2 ** 63 - 1
+        with pytest.raises(SvmParseError, match=f"line 1: feature index {2 ** 63} out of range"):
+            parse_libsvm(f"+1 {2 ** 63}:1")
+
     def test_blank_lines_skipped(self):
         data = parse_libsvm("+1 1:1\n\n-1 1:2\n")
         assert len(data) == 2
+
+
+class TestSvmDataset:
+    def test_non_canonical_samples_are_stored_summed_and_sorted(self):
+        """Row 0 holds a duplicate of column 2 and unsorted indices."""
+        given = sp.csr_matrix((np.array([1.0, 0.5, 2.0, 4.0]), np.array([2, 0, 2, 1]),
+                               np.array([0, 3, 4])), shape=(2, 3))
+        assert not given.has_canonical_format
+        data = SvmDataset(given, [1, -1])
+        m = data.samples
+        assert m.has_canonical_format and m is not given
+        np.testing.assert_array_equal(m.indptr, [0, 2, 3])
+        np.testing.assert_array_equal(m.indices, [0, 2, 1])
+        np.testing.assert_array_equal(m.data, [0.5, 3.0, 4.0])
+        np.testing.assert_array_equal(given.indices, [2, 0, 2, 1])
+        np.testing.assert_array_equal(given.data, [1.0, 0.5, 2.0, 4.0])
+        assert (len(data), data.n_features) == (2, 3)
+        assert data.labels.dtype == np.float64
 
 
 class TestRbfKernel:
@@ -302,7 +340,8 @@ class TestTrainAndPredict:
         cfg = SvmConfig(sigma=0.7, c=2.0)
         _, model = self.train(data, cfg)
         # index 5 lies past the training features: it counts in ||x||^2 only
-        samples = data.samples[:4] + [vec([(0, 0.3), (5, 1.0)]), vec([(1, -0.4)]), vec([])]
+        samples = [data.samples[j] for j in range(4)] + [
+            vec([(0, 0.3), (5, 1.0)]), vec([(1, -0.4)]), vec([])]
         for x in samples:
             expected = model.bias + sum(
                 model.alpha[i] * data.labels[i] * rbf_kernel(data.samples[i], x, cfg.sigma)
@@ -310,6 +349,20 @@ class TestTrainAndPredict:
             score, label = predict(model, x)
             assert score == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert label == (1 if expected >= 0 else -1)
+
+    def test_predict_on_rows_of_a_wider_file_matches_kernel_loop(self, rng):
+        lines = [f"{1 if i % 2 else -1:+d} 1:{rng.standard_normal():.5f} "
+                 f"2:{rng.standard_normal():.5f}" for i in range(10)]
+        data = parse_libsvm("\n".join(lines))
+        cfg = SvmConfig(sigma=0.9, c=2.0)
+        _, model = self.train(data, cfg)
+        heldout = parse_libsvm("+1 1:0.3 6:1\n-1 2:-0.4 3:2\n+1\n-1 1:-1 2:0.5\n")
+        assert heldout.n_features == 6 > data.n_features
+        for x in heldout.samples:
+            expected = model.bias + sum(
+                model.alpha[i] * data.labels[i] * rbf_kernel(data.samples[i], x, cfg.sigma)
+                for i in model.support_indices)
+            assert predict(model, x)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_overflowing_squared_norm_is_rejected_by_predict(self):
         data = parse_libsvm("+1 1:1\n-1 2:1\n")
@@ -331,15 +384,16 @@ class TestKernelReuse:
             f"2:{rng.standard_normal():.5f}" for i in range(12)))
 
     def test_kernel_built_once_per_dataset_and_sigma(self, rng, monkeypatch):
-        builds = []
-        dense_matrix = SvmDataset.dense_matrix
-
-        def counting(self):
-            builds.append(len(self))
-            return dense_matrix(self)
-
-        monkeypatch.setattr(SvmDataset, "dense_matrix", counting)
+        """Counts the kernel build's reads of the whole feature matrix."""
         data = self.dataset(rng)
+        builds = []
+        toarray = data.samples.toarray
+
+        def counting(*args, **kwargs):
+            builds.append(len(data))
+            return toarray(*args, **kwargs)
+
+        monkeypatch.setattr(data.samples, "toarray", counting)
         cfg = SvmConfig(sigma=1.0, c=2.0)
         report = solve(build_svm_dual(data, cfg))
         training_accuracy(extract_model(data, cfg, report.x))
