@@ -91,19 +91,20 @@ def _barrier_mu(s: np.ndarray, lam: np.ndarray, mu_tol: float) -> float:
 
 
 def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
-    """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|),
-    mu by ``_barrier_mu``."""
+    """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|)
+    (inf if that overflows: ``compute_residuals`` then fails), mu by ``_barrier_mu``."""
     lo, hi = problem.var_bounds.lower, problem.var_bounds.upper
     x = np.zeros(problem.n)
     both = np.isfinite(lo) & np.isfinite(hi)
     only_lo = np.isfinite(lo) & ~np.isfinite(hi)
     only_hi = ~np.isfinite(lo) & np.isfinite(hi)
-    x[both] = 0.5 * (lo[both] + hi[both])
+    x[both] = 0.5 * lo[both] + 0.5 * hi[both]  # lo + hi may overflow
     x[only_lo] = lo[only_lo] + 1.0
     x[only_hi] = hi[only_hi] - 1.0
 
     bmap = problem.layout
-    gap = bmap.g(x, bmap.b @ x) - bmap.g0
+    with np.errstate(over="ignore"):
+        gap = bmap.g(x, bmap.b @ x) - bmap.g0
     s, lam = np.maximum(1.0, np.abs(gap)), np.ones(len(gap))
     return IterateState(x=x, lam_e=np.zeros(problem.m_eq), s=s, lam=lam,
                         mu=_barrier_mu(s, lam, cfg.mu_tol), splits=bmap.splits)
@@ -193,16 +194,16 @@ def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig,
 
 
 def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
-                      state: IterateState, cfg: PcgConfig,
+                      r_c: np.ndarray, state: IterateState, cfg: PcgConfig,
                       direction_solver: DirectionSolver,
                       x0: np.ndarray | None) -> tuple[FullDirection, PcgResult]:
-    """One Newton direction for the residuals ``res``; _LinearSolverFailure
+    """One Newton direction for ``res`` and r_c (``kkt.assemble_rhs``); _LinearSolverFailure
     when PCG broke down before its first step or returned a non-finite solution.
 
     PCG starts at ``x0``, or at M^{-1} rhs when the preconditioner is exact:
     its explicit residual test then accepts that start with 0 CG
     iterations, and if it does not, PCG iterates from there."""
-    rhs = assemble_rhs(op, res, state)
+    rhs = assemble_rhs(op, res, r_c, state)
     if prec.exact:
         x0 = prec(rhs)
     try:
@@ -213,7 +214,7 @@ def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
     # no information about this system
     if (cg.iterations == 0 and not cg.converged) or not np.all(np.isfinite(cg.solution)):
         raise _LinearSolverFailure
-    return recover_directions(op, *op.split(cg.solution), res, state), cg
+    return recover_directions(op, *op.split(cg.solution), res, r_c, state), cg
 
 
 def solve(problem: QpProblem, cfg: IpmConfig | None = None,
@@ -223,8 +224,8 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
     Each iteration builds one operator and one preconditioner and solves
     twice with them. With mu = s'lam/m (m inequalities), the predictor
-    solves with r_c = lam * s; its largest steps to the boundary give
-    mu_aff, and sigma = (mu_aff/mu)^3. The corrector solves with
+    solves with complementarity block r_c = lam * s; its largest steps to
+    the boundary give mu_aff, and sigma = (mu_aff/mu)^3. The corrector solves with
     r_c = lam * s + ds_aff * dlam_aff - sigma mu, its PCG started from the
     predictor's solution (both start at M^{-1} rhs when the preconditioner
     is exact, see ``_newton_direction``). The iterate then moves along the
@@ -266,11 +267,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                 prec = preconditioner(op)
                 gap = state.lam * state.s
                 affine, cg_aff = _newton_direction(
-                    op, prec, replace(res, r_c=gap), state, cfg.pcg,
-                    direction_solver, None)
+                    op, prec, res, gap, state, cfg.pcg, direction_solver, None)
                 sigma_mu = update_barrier(state, affine, cfg)
                 direction, cg_corr = _newton_direction(
-                    op, prec, replace(res, r_c=gap + affine.ds * affine.d_lam - sigma_mu),
+                    op, prec, res, gap + affine.ds * affine.d_lam - sigma_mu,
                     state, cfg.pcg, direction_solver, cg_aff.solution)
 
                 alpha_x, alpha_lam = step_lengths(state, direction, FRACTION_TO_BOUNDARY)

@@ -63,16 +63,15 @@ class IterateState:
 
 @dataclass(frozen=True)
 class Residuals:
-    """Residual blocks: stationarity r_H, equality r_e, and stacked
-    r_p = g(x) - s - g0 and r_c = lam * s - mu."""
+    """Stationarity r_H, equality r_e and stacked r_p = g(x) - s - g0; each
+    Newton solve gets its complementarity block r_c as an argument."""
 
     r_H: np.ndarray
     r_e: np.ndarray
     r_p: np.ndarray
-    r_c: np.ndarray
 
     def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.r_H, self.r_e, self.r_p, self.r_c])
+        return np.concatenate([self.r_H, self.r_e, self.r_p])
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,15 @@ class FullDirection:
 
 
 def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
-    """Residual blocks of the perturbed optimality conditions at the iterate."""
+    """The residual blocks at the iterate; FloatingPointError if not finite."""
     bmap = problem.layout
-    x, mu, m = state.x, state.mu, bmap.m_rows
+    x, m = state.x, bmap.m_rows
     bx = bmap.b @ x
     r_H = hessian_apply(problem.hessian, x) + problem.p \
         - bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
     r_H -= bmap.scatter_var(bmap.var_sign * state.lam[m:])
-    res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b + mu * state.lam_e,
-                    r_p=bmap.g(x, bx) - state.s - bmap.g0, r_c=state.lam * state.s - mu)
+    res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b + state.mu * state.lam_e,
+                    r_p=bmap.g(x, bx) - state.s - bmap.g0)
     if not np.all(np.isfinite(res.concatenated())):
         raise FloatingPointError("non-finite residual encountered")
     return res
@@ -297,14 +296,16 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, gram: np.ndarray, t: np.ndar
     return apply
 
 
-def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.ndarray:
-    """Right-hand side (r1 + 2 B' D^{-1} r2, r2) of the doubly augmented system."""
+def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray,
+                 state: IterateState) -> np.ndarray:
+    """Right-hand side (r1 + 2 B' D^{-1} r2, r2) of the doubly augmented system
+    for the residuals ``res`` and the Newton step's S dlam + Lam ds = -r_c."""
     bmap = op.problem.layout
     m = bmap.m_rows
     lam, s = state.lam, state.s
     r1 = -res.r_H - bmap.scatter_var(
-        bmap.var_sign * (res.r_c[m:] / s[m:] + (lam[m:] / s[m:]) * res.r_p[m:]))
-    r2 = np.concatenate([-res.r_e, -res.r_p[:m] - res.r_c[:m] / lam[:m]])
+        bmap.var_sign * (r_c[m:] / s[m:] + (lam[m:] / s[m:]) * res.r_p[m:]))
+    r2 = np.concatenate([-res.r_e, -res.r_p[:m] - r_c[:m] / lam[:m]])
     rhs = np.concatenate([r1 + op.apply_bt(2.0 * r2 / op.d_diag), r2])
     if not np.all(np.isfinite(rhs)):
         raise FloatingPointError("non-finite right-hand side")
@@ -312,19 +313,19 @@ def assemble_rhs(op: KktOperator, res: Residuals, state: IterateState) -> np.nda
 
 
 def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
-                       res: Residuals, state: IterateState) -> FullDirection:
+                       res: Residuals, r_c: np.ndarray, state: IterateState) -> FullDirection:
     """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system.
 
-    Rows of B take ds from complementarity; variable bounds take ds from the
-    primal block and then d_lam from complementarity.
+    Rows of B take ds from complementarity (r_c as in ``assemble_rhs``);
+    variable bounds take ds from the primal block and then d_lam from it.
     """
     bmap = op.problem.layout
     m = bmap.m_rows
     lam, s = state.lam, state.s
     d_lam_rows = d_lam_a[bmap.m_eq:]
-    ds_rows = -(res.r_c[:m] + s[:m] * d_lam_rows) / lam[:m]
+    ds_rows = -(r_c[:m] + s[:m] * d_lam_rows) / lam[:m]
     ds_var = bmap.var_sign * dx[bmap.var_idx] + res.r_p[m:]
-    d_lam_var = -(res.r_c[m:] + lam[m:] * ds_var) / s[m:]
+    d_lam_var = -(r_c[m:] + lam[m:] * ds_var) / s[m:]
     direction = FullDirection(dx=dx, d_lam_e=d_lam_a[:bmap.m_eq],
                               ds=np.concatenate([ds_rows, ds_var]),
                               d_lam=np.concatenate([d_lam_rows, d_lam_var]))

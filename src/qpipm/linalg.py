@@ -44,8 +44,7 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         apply_prec: Callable[[np.ndarray], np.ndarray],
         rhs: np.ndarray,
         cfg: PcgConfig,
-        x0: Optional[np.ndarray] = None,
-        callback: Optional[Callable[[int, np.ndarray, float], None]] = None) -> PcgResult:
+        x0: Optional[np.ndarray] = None) -> PcgResult:
     """Preconditioned conjugate gradients on an SPD operator.
 
     Converged means the UNpreconditioned residual ||rhs - Op x||_2 is at most
@@ -90,8 +89,6 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
         x += np.multiply(alpha, p, out=tmp)  # x += alpha * p
         r -= np.multiply(alpha, op_p, out=tmp)  # r -= alpha * op_p
         rnorm = np.linalg.norm(r)
-        if callback is not None:
-            callback(k, x.copy(), rnorm)
         if rnorm < best_rnorm:
             np.copyto(best_x, x)
             best_rnorm = rnorm
@@ -101,11 +98,9 @@ def pcg(apply_op: Callable[[np.ndarray], np.ndarray],
             true_norm = np.linalg.norm(true_r)
             if true_norm <= threshold:
                 return PcgResult(x, k, true_norm, True)
-            # recurrence drifted: restart from the explicit residual
-            r, rnorm = true_r, true_norm
-            if rnorm < best_rnorm:
-                np.copyto(best_x, x)
-                best_rnorm = rnorm
+            # recurrence drifted: restart from the explicit residual; x is not
+            # the best iterate, as best_rnorm <= rnorm <= threshold < true_norm
+            r = true_r
 
     true_norm = np.linalg.norm(rhs - apply_op(best_x))
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)

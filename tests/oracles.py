@@ -33,7 +33,7 @@ def spmv_transpose(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return m.T @ x
 
 
-def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> PcgResult:
+def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None) -> PcgResult:
     """The out-of-place PCG loop that ``qpipm.linalg.pcg`` must reproduce bit for bit."""
     rhs = np.asarray(rhs, dtype=np.float64)
     threshold = cfg.tol * np.linalg.norm(rhs)
@@ -61,8 +61,6 @@ def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> Pcg
         x += alpha * p
         r -= alpha * op_p
         rnorm = np.linalg.norm(r)
-        if callback is not None:
-            callback(k, x.copy(), rnorm)
         if rnorm < best_rnorm:
             best_x, best_rnorm = x.copy(), rnorm
         if rnorm <= threshold:
@@ -87,6 +85,16 @@ def reference_pcg(apply_op, apply_prec, rhs, cfg, x0=None, callback=None) -> Pcg
 
     true_norm = np.linalg.norm(rhs - apply_op(best_x))
     return PcgResult(best_x, cfg.max_iters, true_norm, true_norm <= threshold)
+
+
+def recording_identity(residuals: list):
+    """The identity preconditioner, appending a copy of each residual r_k it
+    is applied to (``pcg`` updates r in place). PCG applies it to r_0, ...,
+    r_{k-1} in k steps, and r_k = rhs - Op x_k determines the iterate x_k."""
+    def apply_prec(r):
+        residuals.append(r.copy())
+        return r
+    return apply_prec
 
 
 class SingularMatrixError(RuntimeError):
@@ -237,6 +245,12 @@ def make_state(x, mu, lam_e=(), **families) -> IterateState:
                         lam_e=np.asarray(lam_e, dtype=float),
                         s=np.concatenate(s), lam=np.concatenate(lam), mu=mu,
                         splits=tuple(int(e) for e in ends[:3]))
+
+
+def centering_target(state: IterateState) -> np.ndarray:
+    """The complementarity block lam * s - mu that ``DenseParts`` builds its
+    systems with, for ``assemble_rhs`` and ``recover_directions``."""
+    return state.lam * state.s - state.mu
 
 
 def families(state: IterateState, ends=None) -> SimpleNamespace:

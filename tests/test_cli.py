@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,24 @@ class TestSolveQpCommand:
         assert doc["primal_inf"] is None and doc["dual_inf"] is None
         assert doc["compl_inf"] is None
 
+    @pytest.mark.parametrize("edit", [
+        # the box midpoint: lx + ux overflows
+        lambda d: d.update(lx=[1e308], ux=[1.5e308]),
+        # x = lx + 1, and the A row's gap x - l overflows
+        lambda d: d.update(A={"rows": [0], "cols": [0], "vals": [1.0]},
+                           l=[-1.7e308], u=[None], lx=[1.7e308], ux=[None]),
+    ], ids=["midpoint", "gap"])
+    def test_overflowing_start_point_warns_nothing(self, edit, tmp_path, capsys):
+        doc = box_qp_doc()
+        edit(doc)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve-qp", str(path)]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert "status=numerical_failure" in capsys.readouterr().out
+
     def test_summary_reports_the_stopping_test_measures(self, tmp_path, capsys):
         """One equality row, one two-sided A row and a box: the summary, the
         --solution document and the trace's last row give the same measures,
@@ -498,6 +517,39 @@ def test_bad_file_is_named_input_error(command, write, tmp_path, capsys):
     message = write(path)
     assert main([command, str(path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+_ONE_A_ROW = {"l": [0.0], "u": [1.0]}
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"p": "x"}, "member 'p' must be an array"),
+    ({"p": [None]}, "member 'p' contains null at position 0"),
+    ({"p": ["x"]}, "member 'p' contains non-numeric entry at position 0"),
+    ({"A": {"rows": [1], "cols": [0], "vals": [1.0]}, **_ONE_A_ROW},
+     "member 'A.rows': coordinate index out of range at position 0"),
+    ({"ux": [1.0, 2.0]}, "members 'lx' and 'ux' have different lengths"),
+    ({"A": [1.0], **_ONE_A_ROW}, "member 'A' must be an object"),
+    ({"A": {"rows": [0], "cols": [0]}, **_ONE_A_ROW}, "member 'A' is missing 'vals'"),
+    ({"A": {"rows": [0], "cols": [0], "vals": [1.0, 2.0]}, **_ONE_A_ROW},
+     "member 'A': rows/cols/vals lengths differ"),
+    ({"hessian": {"d": [1.0]}}, "member 'hessian' must be an object with a 'kind'"),
+    ({"hessian": {"kind": "diagonal", "d": [1.0, 2.0]}},
+     "member 'hessian.d' has wrong length"),
+    ({"hessian": {"kind": "bfgs", "h0_diag": [1.0], "u": [], "w": [1.0]}},
+     "member 'hessian.u' must be an n-row array of arrays"),
+    ("[1]", "document root must be an object"),
+    ("{", "is not valid JSON"),
+], ids=["not_array", "null", "non_numeric", "index_range", "bound_lengths",
+        "coo_not_object", "coo_missing", "coo_lengths", "hessian_kind",
+        "diagonal_length", "bfgs_rows", "root", "json"])
+def test_malformed_qp_file_is_named_input_error(content, message, tmp_path, capsys):
+    """content: members replacing those of ``box_qp_doc``, or the file's text."""
+    path = tmp_path / "bad.json"
+    path.write_text(content if isinstance(content, str)
+                    else json.dumps({**box_qp_doc(), **content}))
+    assert main(["check", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_short_p_is_rejected_before_n_sized_work():

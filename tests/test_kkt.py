@@ -8,14 +8,15 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (DenseParts, assemble_dense, assemble_dense_augmented,
-                     dense_hessian, dense_preconditioner, dense_solve, make_state,
-                     random_interior_state, random_problem, sparse_from_dense)
+                     centering_target, dense_hessian, dense_preconditioner,
+                     dense_solve, make_state, random_interior_state,
+                     random_problem, sparse_from_dense)
 from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
-from qpipm.kkt import (_dominant_rows, apply_doubly_augmented, assemble_rhs,
-                       build_operator, compute_residuals, jacobi_diagonal,
-                       preconditioner, recover_directions)
+from qpipm.kkt import (_MAX_KEPT_ROWS, _dominant_rows, apply_doubly_augmented,
+                       assemble_rhs, build_operator, compute_residuals,
+                       jacobi_diagonal, preconditioner, recover_directions)
 from qpipm.model import (BoundIndexMap, Bounds, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, box_qp)
+                         QuasiNewtonHessian, SparseHessian, box_qp)
 
 
 def make_instances(rng, count, **kw):
@@ -72,12 +73,6 @@ class TestComputeResiduals:
         res = compute_residuals(problem, state)
         assert np.linalg.norm(res.concatenated()) < 1e-12
 
-    def test_complementarity_pair(self):
-        problem = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [np.inf])
-        state = make_state([3.0], 6.0, s_lx=[3.0], lam_lx=[2.0])
-        res = compute_residuals(problem, state)
-        assert res.r_c[0] == 0.0
-
     def test_matches_dense_transcription(self, rng):
         for problem, state in make_instances(rng, 8, n=5):
             res = compute_residuals(problem, state)
@@ -85,12 +80,23 @@ class TestComputeResiduals:
             oracle = {
                 "r_H": blocks["r_H"], "r_e": blocks["r_e"],
                 "r_p": np.concatenate([blocks[k] for k in ("r_lA", "r_uA", "r_lx", "r_ux")]),
-                "r_c": np.concatenate([blocks[f"r_c{i}"] for i in range(1, 5)]),
             }
             for name, block in oracle.items():
                 np.testing.assert_allclose(getattr(res, name), block,
                                            rtol=1e-12, atol=1e-12,
                                            err_msg=name)
+
+    def test_non_finite_residual_ends_the_solve(self):
+        # H = [[1e308]] and x = 2: the sparse product H x overflows without a
+        # floating-point flag, so only the finiteness check stops it
+        problem = box_qp(SparseHessian(sp.csr_matrix([[1e308]])), [0.0], [1.0], [np.inf])
+        state = initialize(problem, IpmConfig())
+        assert state.x.tolist() == [2.0]
+        with pytest.raises(FloatingPointError, match="non-finite residual"):
+            compute_residuals(problem, state)
+        report = solve(problem)
+        assert report.status is SolveStatus.NUMERICAL_FAILURE
+        assert report.iterations == 0
 
 
 class TestBuildOperator:
@@ -204,7 +210,7 @@ class TestAssembleRhs:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         zero = type(res)(**{k: np.zeros_like(v) for k, v in res.__dict__.items()})
-        np.testing.assert_array_equal(assemble_rhs(op, zero, state),
+        np.testing.assert_array_equal(assemble_rhs(op, zero, np.zeros(1), state),
                                       np.zeros(op.dim))
 
     def test_unconstrained_is_negated_stationarity(self):
@@ -212,15 +218,22 @@ class TestAssembleRhs:
         state = make_state(np.zeros(1), 0.5)
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)  # r_H = p = (1)
-        np.testing.assert_allclose(assemble_rhs(op, res, state), [-1.0])
+        np.testing.assert_allclose(assemble_rhs(op, res, np.zeros(0), state), [-1.0])
 
     def test_matches_dense_reduction(self, rng):
         for problem, state in make_instances(rng, 8, n=6):
             op = build_operator(problem, state)
             res = compute_residuals(problem, state)
-            rhs = assemble_rhs(op, res, state)
+            rhs = assemble_rhs(op, res, centering_target(state), state)
             _, oracle_rhs = DenseParts(problem, state).doubly_augmented_system()
             np.testing.assert_allclose(rhs, oracle_rhs, rtol=1e-11, atol=1e-11)
+
+    def test_non_finite_right_hand_side_raises(self):
+        problem, state = scalar_instance()
+        op = build_operator(problem, state)
+        res = compute_residuals(problem, state)
+        with pytest.raises(FloatingPointError, match="non-finite right-hand side"):
+            assemble_rhs(op, res, np.array([np.inf]), state)
 
 
 class TestBlockRowEquivalence:
@@ -258,9 +271,16 @@ class TestRecoverDirections:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         zero = type(res)(**{k: np.zeros_like(v) for k, v in res.__dict__.items()})
-        d = recover_directions(op, np.zeros(1), np.zeros(1), zero, state)
+        d = recover_directions(op, np.zeros(1), np.zeros(1), zero, np.zeros(1), state)
         for block in d.__dict__.values():
             assert not np.any(block)
+
+    def test_non_finite_direction_raises(self):
+        problem, state = scalar_instance()
+        op = build_operator(problem, state)
+        res = compute_residuals(problem, state)
+        with pytest.raises(FloatingPointError, match="non-finite direction component"):
+            recover_directions(op, np.zeros(1), np.zeros(1), res, np.array([np.inf]), state)
 
     def test_single_lower_var_bound_full_residual(self):
         problem = box_qp(DiagonalHessian([2.0]), [-1.0], [0.5], [np.inf])
@@ -270,7 +290,7 @@ class TestRecoverDirections:
         parts = DenseParts(problem, state)
         k9, rhs9 = parts.doubly_augmented_system()
         sol = np.atleast_1d(dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9)))
-        d = recover_directions(op, sol[:1], sol[1:], res, state)
+        d = recover_directions(op, sol[:1], sol[1:], res, centering_target(state), state)
         k_full, rhs_full = parts.full_system()
         resid = k_full @ parts.direction_vector(d) - rhs_full
         assert np.linalg.norm(resid) < 1e-12
@@ -282,7 +302,8 @@ class TestRecoverDirections:
             parts = DenseParts(problem, state)
             k9, rhs9 = parts.doubly_augmented_system()
             sol = dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9))
-            d = recover_directions(op, sol[:problem.n], sol[problem.n:], res, state)
+            d = recover_directions(op, sol[:problem.n], sol[problem.n:], res,
+                                   centering_target(state), state)
             k_full, rhs_full = parts.full_system()
             resid = k_full @ parts.direction_vector(d) - rhs_full
             assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(rhs_full))
@@ -294,7 +315,8 @@ class TestRecoverDirections:
             parts = DenseParts(problem, state)
             k9, rhs9 = parts.doubly_augmented_system()
             sol = dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9))
-            d = recover_directions(op, sol[:problem.n], sol[problem.n:], res, state)
+            d = recover_directions(op, sol[:problem.n], sol[problem.n:], res,
+                                   centering_target(state), state)
             k_full, rhs_full = parts.full_system()
             full = dense_solve(k_full, rhs_full)
             got = parts.direction_vector(d)
@@ -413,6 +435,16 @@ class TestPreconditioner:
         assert got.tolist() == dense_preconditioner(problem, state)[1] == kept
         if name == "empty_row":
             assert problem.layout.b[0].nnz == 0
+
+    def test_kept_rows_are_capped_at_the_strongest(self, rng):
+        # every row of a one-column B is dominant, with distinct ratios
+        # 2 b_i^2 > 1 in shuffled order
+        rows = _MAX_KEPT_ROWS + 300
+        values = rng.permutation(1.0 + np.arange(rows) / rows)
+        b = sp.csr_matrix(values[:, None])
+        got = _dominant_rows(b, np.ones(1), np.ones(rows))
+        assert len(got) == _MAX_KEPT_ROWS
+        assert got.tolist() == sorted(np.argsort(values)[-_MAX_KEPT_ROWS:].tolist())
 
     def test_kept_rows_make_no_product_with_all_of_bt(self):
         # the instance of test_dominant_row_is_kept_and_weak_row_folded: row 0

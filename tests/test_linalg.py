@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (SingularMatrixError, dense_solve, random_sparse,
-                     sparse_from_dense, sparse_to_dense, spmv, spmv_transpose)
+                     recording_identity, sparse_from_dense, sparse_to_dense,
+                     spmv, spmv_transpose)
 from qpipm.linalg import PcgBreakdownError, PcgConfig, pcg
 from qpipm.model import DimensionError
 
@@ -115,29 +116,29 @@ class TestPcg:
         a = g @ g.T + n * np.eye(n)
         rhs = rng.standard_normal(n)
 
-        # textbook unpreconditioned CG, recorded step by step
+        # textbook unpreconditioned CG, its residual recorded after each step
         plain = []
-        x = np.zeros(n)
         r = rhs.copy()
         p = r.copy()
         rr = r @ r
         for _ in range(8):
             ap = a @ p
             alpha = rr / (p @ ap)
-            x = x + alpha * p
             r = r - alpha * ap
-            plain.append(x.copy())
+            plain.append(r.copy())
             rr_next = r @ r
             p = r + (rr_next / rr) * p
             rr = rr_next
 
+        # the 9th step's preconditioner application records r_8
         recorded = []
-        pcg(lambda v: a @ v, identity_prec, rhs,
-            PcgConfig(tol=1e-30, max_iters=8),
-            callback=lambda k, xk, rn: recorded.append(xk))
-        assert len(recorded) == 8
-        for ref, got in zip(plain, recorded):
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+        pcg(lambda v: a @ v, recording_identity(recorded), rhs,
+            PcgConfig(tol=1e-30, max_iters=9))
+        assert len(recorded) == 9
+        np.testing.assert_array_equal(recorded[0], rhs)
+        scale = np.linalg.norm(rhs)
+        for ref, got in zip(plain, recorded[1:]):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * scale)
 
     def test_breakdown_on_indefinite_operator(self, rng):
         a = np.diag([1.0, -1.0])

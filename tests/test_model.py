@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,14 +237,28 @@ class TestValidateProblem:
         assert len(report) == 1
         assert "inverted bound" in report[0]
 
-    def test_dimension_mismatch(self):
-        good = self.well_formed()
-        p = QpProblem(n=2, hessian=good.hessian, p=[1.0, 2.0, 3.0], a=good.a,
-                      lin_bounds=good.lin_bounds, c=good.c, b=good.b,
-                      var_bounds=good.var_bounds)
-        report = validate_problem(p)
-        assert len(report) == 1
-        assert "dimension mismatch" in report[0]
+    @pytest.mark.parametrize("fields, message", [
+        ({"p": [1.0, 2.0, 3.0]}, "dimension mismatch: p has length 3, expected 2"),
+        ({"hessian": DiagonalHessian([1.0, 2.0, 3.0])},
+         "dimension mismatch: hessian is 3-dimensional, expected 2"),
+        ({"a": sp.csr_matrix((1, 3)), "lin_bounds": Bounds([0.0], [1.0])},
+         "dimension mismatch: A has 3 columns, expected 2"),
+        ({"a": sp.csr_matrix((1, 2)), "lin_bounds": Bounds.free(2)},
+         "dimension mismatch: lin_bounds has length 2, expected 1"),
+        ({"c": sp.csr_matrix((1, 3)), "b": [0.0]},
+         "dimension mismatch: C has 3 columns, expected 2"),
+        ({"c": sp.csr_matrix((1, 2)), "b": [0.0, 0.0]},
+         "dimension mismatch: b has length 2, expected 1"),
+        ({"var_bounds": Bounds([0.0], [1.0])},
+         "dimension mismatch: var_bounds has length 1, expected 2"),
+        # an equality row keeps the barrier subproblem well-posed
+        ({"n": 0, "hessian": DiagonalHessian([]), "p": [], "a": sp.csr_matrix((0, 0)),
+          "c": sp.csr_matrix((1, 0)), "b": [0.0], "var_bounds": Bounds.free(0)},
+         "empty variable space (n must be >= 1)"),
+    ], ids=["p", "hessian", "a_columns", "lin_bounds", "c_columns", "b",
+            "var_bounds", "n"])
+    def test_dimension_mismatch(self, fields, message):
+        assert validate_problem(replace(self.well_formed(), **fields)) == [message]
 
     def test_nan_rejected(self):
         p = box_qp(DiagonalHessian([1.0]), [np.nan], [0.0], [1.0])

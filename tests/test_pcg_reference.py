@@ -4,7 +4,8 @@ out-of-place loop kept in ``oracles.reference_pcg``."""
 import numpy as np
 import pytest
 
-from oracles import random_interior_state, random_problem, reference_pcg
+from oracles import (random_interior_state, random_problem, recording_identity,
+                     reference_pcg)
 from qpipm.kkt import apply_doubly_augmented, build_operator, preconditioner
 from qpipm.linalg import PcgBreakdownError, PcgConfig, pcg
 
@@ -34,20 +35,18 @@ def test_random_spd_with_jacobi(rng):
         assert res.converged and res.iterations > 1
 
 
-def test_warm_start_and_callback(rng):
+def test_warm_start_takes_the_same_steps(rng):
     a = random_spd(rng, 20)
     rhs = rng.standard_normal(20)
     x0 = rng.standard_normal(20)
-    seen = {"got": [], "want": []}
     cfg = PcgConfig(tol=1e-10)
-    pcg(lambda v: a @ v, lambda v: v, rhs, cfg, x0=x0,
-        callback=lambda k, x, rn: seen["got"].append((k, x, rn)))
-    reference_pcg(lambda v: a @ v, lambda v: v, rhs, cfg, x0=x0,
-                  callback=lambda k, x, rn: seen["want"].append((k, x, rn)))
-    assert len(seen["got"]) == len(seen["want"]) > 1
-    for (k1, x1, r1), (k2, x2, r2) in zip(seen["got"], seen["want"]):
-        assert k1 == k2 and r1 == r2
-        np.testing.assert_array_equal(x1, x2)
+    got, want = [], []
+    result = pcg(lambda v: a @ v, recording_identity(got), rhs, cfg, x0=x0)
+    expected = reference_pcg(lambda v: a @ v, recording_identity(want), rhs, cfg, x0=x0)
+    np.testing.assert_array_equal(result.solution, expected.solution)
+    assert len(got) == len(want) > 1
+    for r_got, r_want in zip(got, want):
+        np.testing.assert_array_equal(r_got, r_want)
 
 
 def test_capped_run_returns_the_same_best_iterate(rng):
