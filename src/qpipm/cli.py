@@ -18,7 +18,7 @@ from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, infeasibiliti
 from .kkt import compute_residuals
 from .linalg import PcgConfig
 from .model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                    SparseHessian, SparseMatrix, coo_json, validate_problem)
+                    SparseHessian, coo_json, validate_problem)
 
 TRACE_HEADER = "iter,mu,primal_inf,dual_inf,compl_inf,cg_iters,cg_resid,alpha_x,alpha_lambda"
 
@@ -99,7 +99,9 @@ def _bounds(doc, lname, uname, size) -> Bounds:
     return Bounds(lo, hi)
 
 
-def _coo_matrix(doc, name, shape) -> sp.csr_matrix:
+def _coo_matrix(doc, name, shape) -> sp.spmatrix:
+    """The coordinate triplets as given; ``QpProblem`` and ``SparseHessian``
+    canonicalize them (duplicates summed) into their CSR copies."""
     if doc is None:
         return sp.csr_matrix(shape)
     if not isinstance(doc, dict):
@@ -113,7 +115,7 @@ def _coo_matrix(doc, name, shape) -> sp.csr_matrix:
     vals = _real_array(doc["vals"], f"{name}.vals")
     if not (len(rows) == len(cols) == len(vals)):
         raise QpFileError(f"member '{name}': rows/cols/vals lengths differ")
-    return SparseMatrix.from_coo(*shape, rows, cols, vals)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _hessian(doc, n):
@@ -313,8 +315,8 @@ def cmd_solve_svm(args) -> int:
         cfg = svm.SvmConfig(sigma=args.sigma, c=args.c)
         with open(args.file, "rb") as fh:
             data = svm.parse_libsvm(fh.read())
-        problem = svm.build_svm_dual(data, cfg)
         _check_outputs(args)
+        problem = svm.build_svm_dual(data, cfg)
     except OSError as exc:
         return _input_error(f"cannot read '{args.file}': {exc}")
     except ValueError as exc:  # bad flag, SvmParseError, unusable dataset or output

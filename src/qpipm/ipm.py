@@ -233,10 +233,11 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
     ``state.mu`` is s'lam/m at the start and after each step, but not below
     mu_tol/10 (``_barrier_mu``). It enters the Newton system only as the
-    equality rows' regularization (D = mu on the rows of C and mu lam_e in
-    r_e): without the floor, the seed-1 svm_dual benchmark input took 8 IPM
-    iterations and 48 CG instead of 6 and 29. The trace's mu is the
-    corrector's target sigma mu; its cg_iters sums both solves.
+    equality rows' regularization D = mu on the rows of C; r_e is C x - b,
+    so inconsistent equality rows end at the iteration limit. Without the
+    floor, the seed-1 svm_dual benchmark input took 7 IPM iterations and 40
+    CG instead of 6 and 29. The trace's mu is the corrector's target sigma
+    mu; its cg_iters sums both solves.
 
     The solve converges by ``_converged``; the trace records the three
     measures of ``infeasibilities`` that it bounds. A failed PCG solve (see

@@ -63,8 +63,8 @@ class IterateState:
 
 @dataclass(frozen=True)
 class Residuals:
-    """Stationarity r_H, equality r_e and stacked r_p = g(x) - s - g0; each
-    Newton solve gets its complementarity block r_c as an argument."""
+    """Stationarity r_H, equality r_e = C x - b and stacked r_p = g(x) - s - g0;
+    each Newton solve gets its complementarity block r_c as an argument."""
 
     r_H: np.ndarray
     r_e: np.ndarray
@@ -83,14 +83,17 @@ class FullDirection:
 
 
 def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
-    """The residual blocks at the iterate; FloatingPointError if not finite."""
+    """The residual blocks at the iterate; FloatingPointError if not finite.
+
+    r_e is C x - b itself: mu regularizes the equality rows in D
+    (``build_operator``) only, so the stopping test bounds C x - b."""
     bmap = problem.layout
     x, m = state.x, bmap.m_rows
     bx = bmap.b @ x
     r_H = hessian_apply(problem.hessian, x) + problem.p \
         - bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
     r_H -= bmap.scatter_var(bmap.var_sign * state.lam[m:])
-    res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b + state.mu * state.lam_e,
+    res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b,
                     r_p=bmap.g(x, bx) - state.s - bmap.g0)
     if not np.all(np.isfinite(res.concatenated())):
         raise FloatingPointError("non-finite residual encountered")

@@ -38,7 +38,7 @@ class SvmDataset:
 
     samples: sp.csr_matrix
     labels: np.ndarray
-    # (sigma, H): the last signed kernel built, see _signed_kernel
+    # (sigma, DenseHessian): the dual Hessian of the last sigma, see _signed_kernel
     _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -65,13 +65,15 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Trained model. ``predict`` reads the support vectors' dense rows
-    ``sv_rows``, their squared norms ``sv_sq`` and ``sv_coef = alpha_i y_i``,
-    all derived from the other fields on construction."""
+    """Trained model; ``decision_values`` are the training scores without
+    the bias. ``predict`` reads the support vectors' dense rows ``sv_rows``,
+    their squared norms ``sv_sq`` and ``sv_coef = alpha_i y_i``, all
+    derived from the other fields on construction."""
 
     alpha: np.ndarray
     bias: float
     support_indices: np.ndarray
+    decision_values: np.ndarray
     dataset: SvmDataset
     config: SvmConfig
     sv_rows: np.ndarray = field(init=False, compare=False, repr=False)
@@ -135,16 +137,16 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
     return SvmDataset(sp.csr_matrix((values, indices, indptr), shape=shape), np.array(labels))
 
 
-def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:
-    """H = yy'∘K for the RBF kernel, read-only, exactly symmetric, unit diagonal.
+def _signed_kernel(data: SvmDataset, sigma: float) -> DenseHessian:
+    """Dual Hessian H = yy'∘K, RBF kernel: read-only, exactly symmetric, unit diagonal.
 
     Only the upper triangle is computed, in row blocks, each from one
     product ``X1[lo:hi] @ X2[lo:].T`` with X1 = [x, -||x||²/2, 1] and
     X2 = [x, 1, -||x||²/2], whose entries are -d²_ij/2; the strict upper
-    part is then mirrored below the diagonal. H is the only n-by-n array,
-    cached on ``data`` for this sigma; another sigma replaces the cached
-    entry. Raises ValueError, before H exists, if a sample's ||x||² is
-    not finite.
+    part is then mirrored below the diagonal. H is the only n-by-n array;
+    the one ``DenseHessian`` holding it is cached on ``data`` for this
+    sigma, and another sigma replaces the cached entry. Raises ValueError,
+    before H exists, if a sample's ||x||² is not finite.
     """
     if data._kernel is not None and data._kernel[0] == sigma:
         return data._kernel[1]
@@ -178,14 +180,14 @@ def _signed_kernel(data: SvmDataset, sigma: float) -> np.ndarray:
             for k in range(lo + 1, hi):
                 h[k, lo:k] = h[lo:k, k]
     h.flags.writeable = False
-    object.__setattr__(data, "_kernel", (sigma, h))
-    return h
+    object.__setattr__(data, "_kernel", (sigma, DenseHessian(h)))
+    return data._kernel[1]
 
 
 def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
     """Dual QP: min 1/2 a'Ha - a'e  s.t.  a'y = 0,  0 <= a <= c,
     with H_ij = y_i y_j K(x_i, x_j). H is built once per (dataset, sigma)
-    and shared with ``extract_model`` and ``training_accuracy``."""
+    and shared with ``extract_model``."""
     n = len(data)
     if n > MAX_PRECOMPUTED_SAMPLES:
         raise ValueError(f"{n} samples exceed the dense-kernel cap {MAX_PRECOMPUTED_SAMPLES}")
@@ -198,7 +200,7 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
     y = data.labels
     return QpProblem(
         n=n,
-        hessian=DenseHessian(_signed_kernel(data, cfg.sigma)),
+        hessian=_signed_kernel(data, cfg.sigma),
         p=-np.ones(n),
         a=sp.csr_matrix((0, n)),
         lin_bounds=Bounds.free(0),
@@ -208,26 +210,21 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
     )
 
 
-def _decision_values(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> np.ndarray:
-    """g_j = sum_i alpha_i y_i K(x_i, x_j) = y_j (H alpha)_j (as y_j = ±1),
-    without the bias."""
-    h = DenseHessian(_signed_kernel(data, cfg.sigma))
-    return data.labels * hessian_apply(h, alpha)
-
-
 def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmModel:
     """Recover the bias from free support vectors (or the KKT interval midpoint).
 
-    The decision values reuse the dual Hessian H of ``build_svm_dual``; it is
-    built here only if ``data`` holds none for ``cfg.sigma``."""
+    The decision values g_j = sum_i alpha_i y_i K(x_i, x_j) = y_j (H alpha)_j
+    (as y_j = ±1) take one product with the dual Hessian H of
+    ``build_svm_dual``, built here only if ``data`` holds none for
+    ``cfg.sigma``; the model keeps them."""
     alpha = np.asarray(alpha, dtype=np.float64)
     # hard margin (c = inf): the threshold scales with the largest alpha instead
     tau = 1e-5 * (cfg.c if np.isfinite(cfg.c) else alpha.max())
     support = np.where(alpha > tau)[0]
     if len(support) == 0:
         raise DegenerateModelError("no support vectors (all alpha at zero)")
-    g = _decision_values(data, cfg, alpha)
     y = data.labels
+    g = y * hessian_apply(_signed_kernel(data, cfg.sigma), alpha)
     free = np.where((alpha > tau) & (alpha < cfg.c - tau))[0]
     if len(free):
         bias = float(np.mean(y[free] - g[free]))
@@ -240,7 +237,7 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
         lo = cand[lower_set].max() if np.any(lower_set) else cand.min()
         bias = 0.5 * (lo + hi)
     return SvmModel(alpha=alpha, bias=bias, support_indices=support,
-                    dataset=data, config=cfg)
+                    decision_values=g, dataset=data, config=cfg)
 
 
 def predict(model: SvmModel, x: sp.csr_matrix) -> tuple[float, int]:
@@ -265,6 +262,8 @@ def predict(model: SvmModel, x: sp.csr_matrix) -> tuple[float, int]:
 
 
 def training_accuracy(model: SvmModel) -> float:
-    g = _decision_values(model.dataset, model.config, model.alpha) + model.bias
+    """Share of training samples whose score, the stored decision value
+    plus the bias, has their label's sign (ties to +1); no kernel product."""
+    g = model.decision_values + model.bias
     pred = np.where(g >= 0, 1.0, -1.0)
     return float(np.mean(pred == model.dataset.labels))

@@ -298,7 +298,7 @@ class DenseParts:
                + self.p_u.T @ st.lam_ux - self.c.T @ st.lam_e)
         return {
             "r_H": r_h,
-            "r_e": self.c @ st.x - self.problem.b + st.mu * st.lam_e,
+            "r_e": self.c @ st.x - self.problem.b,
             "r_lA": self.a_l @ st.x - st.s_lA - self.l_a,
             "r_uA": self.u_a - self.a_u @ st.x - st.s_uA,
             "r_lx": self.p_l @ st.x - st.s_lx - self.l_x,

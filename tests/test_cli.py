@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
+from qpipm import svm
 from qpipm.cli import (TRACE_HEADER, QpFileError, _report_summary,
                        build_parser, load_qp_file, main, parse_qp_document,
                        qp_document, write_trace)
@@ -316,6 +317,36 @@ class TestSolveQpCommand:
         assert [str(w.message) for w in caught] == []
         assert "status=numerical_failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("c, b, p, code, primal", [
+        # row 2 of C is empty: 0 = 2
+        ({"rows": [0], "cols": [0], "vals": [1]}, [1, 2], [1, 1], 2, 2.0),
+        # x0 = 1 and x0 = 2: the least residual is 1/sqrt(2)
+        ({"rows": [0, 1], "cols": [0, 0], "vals": [1, 1]}, [1, 2], [1, 1], 2, math.sqrt(0.5)),
+        # x0 + x1 = 1, with the unconstrained minimum far outside it
+        ({"rows": [0, 0], "cols": [0, 1], "vals": [1, 1]}, [1], [-1000, -1000], 0, None),
+    ], ids=["zero-row", "contradicting-rows", "feasible"])
+    def test_stopping_test_bounds_the_equality_residual(self, c, b, p, code, primal,
+                                                         tmp_path, capsys):
+        """The stopping test bounds C x - b itself. With the multiplier term
+        mu * lam_e in r_e, both inconsistent problems ended converged with
+        primal_inf near 1e-15, and the feasible one with |C x - b| = 1e-4."""
+        doc = {"n": 2, "hessian": {"kind": "diagonal", "d": [1, 1]}, "p": p,
+               "C": c, "b": b, "lx": [0, 0]}
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(doc))
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve-qp", str(path), "--solution", sol]) == code
+        written = json.load(open(sol))
+        problem = load_qp_file(str(path))
+        residual = problem.c @ np.array(written["x"]) - problem.b
+        if primal is None:
+            assert written["status"] == "converged"
+            assert np.max(np.abs(residual)) <= IpmConfig().mu_tol * (1.0 + max(map(abs, b)))
+        else:
+            assert written["status"] == "iteration_limit"
+            assert written["primal_inf"] == pytest.approx(primal, rel=1e-6)
+            assert written["primal_inf"] == pytest.approx(np.linalg.norm(residual), rel=1e-6)
+
     def test_summary_reports_the_stopping_test_measures(self, tmp_path, capsys):
         """One equality row, one two-sided A row and a box: the summary, the
         --solution document and the trace's last row give the same measures,
@@ -404,14 +435,25 @@ class TestSolveSvmCommand:
         assert {"bias", "support_indices", "training_accuracy"} <= set(json.load(open(sol)))
         assert "training accuracy" in capsys.readouterr().out
 
-    def test_unwritable_output_is_input_error_before_the_solve(self, tmp_path, capsys):
+    def test_unwritable_output_is_input_error_before_the_solve(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """... and before the n-by-n kernel is built."""
         data = tmp_path / "tiny.svm"
         data.write_text("+1 1:1\n-1 2:1\n")
         out = str(tmp_path / "missing" / "trace.csv")
+        monkeypatch.setattr(svm, "build_svm_dual",
+                            lambda *args: pytest.fail("the dual was built"))
         assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1",
                      "--trace", out]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write --trace file '{out}'")
+        assert captured.out == ""
+
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.svm")
+        assert main(["solve-svm", path, "--sigma", "1", "--c", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read '{path}': ")
         assert captured.out == ""
 
     def test_missing_sigma_is_input_error(self, tmp_path, capsys):
@@ -588,6 +630,26 @@ def test_integer_beyond_floats_is_an_unbounded_bound():
     problem = parse_qp_document(doc)
     assert problem.var_bounds.lower[0] == -np.inf and problem.var_bounds.upper[0] == np.inf
     assert validate_problem(problem) == []
+
+
+@pytest.mark.parametrize("member", ["h0_diag", "u", "w"])
+def test_overflowing_bfgs_member_is_named(member, tmp_path, capsys):
+    """json reads 1e400 as inf; the quasi-Newton Hessian names the member."""
+    hessian = {"kind": "bfgs", "h0_diag": [1.0], "u": [[0.5]], "w": [1.0]}
+    hessian[member] = [["HUGE"]] if member == "u" else ["HUGE"]
+    path = tmp_path / "bfgs.json"
+    path.write_text(json.dumps({**box_qp_doc(), "hessian": hessian}).replace('"HUGE"', "1e400"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"non-finite data (inf) in hessian.{member}\n" in out
+    assert "1 violation(s)" in out
+
+
+def test_svm_dual_has_no_file_representation():
+    data = svm.parse_libsvm("+1 1:1\n-1 2:1\n")
+    problem = svm.build_svm_dual(data, svm.SvmConfig(sigma=1.0, c=1.0))
+    with pytest.raises(ValueError, match="^dense Hessians have no file representation$"):
+        qp_document(problem)
 
 
 @pytest.mark.parametrize("command", ["check", "solve-qp"])

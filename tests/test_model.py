@@ -160,6 +160,20 @@ class TestHessianApply:
         assert peak < 1 << 20  # the matrix itself is 8 MB
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuasiNewtonHessian([1.0, 1.0], np.zeros((3, 1)), [1.0]),
+     "update matrix must be n x k with k weights"),
+    (lambda: QuasiNewtonHessian([1.0, 1.0], np.zeros((2, 2)), [1.0]),
+     "update matrix must be n x k with k weights"),
+    (lambda: QuasiNewtonHessian([1.0, 1.0], np.zeros(2), []),
+     "update matrix must be n x k with k weights"),
+    (lambda: Bounds([0.0, 0.0], [1.0]), "lower and upper must have equal length"),
+], ids=["u_rows", "u_columns", "u_one_dimensional", "bounds_lengths"])
+def test_inconsistent_shapes_are_dimension_errors(build, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        build()
+
+
 class TestHessianDiagonal:
     def test_quasi_newton_formula(self):
         h = QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [2.0])

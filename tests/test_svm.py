@@ -63,6 +63,10 @@ class TestParseLibsvm:
         with pytest.raises(SvmParseError, match="line 2.*non-binary"):
             parse_libsvm("+1 1:1\n3 1:2")
 
+    def test_non_numeric_label(self):
+        with pytest.raises(SvmParseError, match="^line 2: label 'abc' is not numeric$"):
+            parse_libsvm("+1 1:1\nabc 1:2")
+
     def test_malformed_feature(self):
         with pytest.raises(SvmParseError, match="line 1.*malformed"):
             parse_libsvm("+1 1:a")
@@ -247,6 +251,19 @@ class TestBuildSvmDual:
             v = rng.standard_normal(10)
             assert v @ (p.hessian.m @ v) >= -1e-8 * (v @ v)
 
+    def test_more_samples_than_the_cap_are_rejected_before_the_kernel(self, monkeypatch):
+        n = svm.MAX_PRECOMPUTED_SAMPLES + 1
+        data = SvmDataset(sp.csr_matrix(np.ones((n, 1))), np.where(np.arange(n) % 2, 1.0, -1.0))
+
+        def no_kernel(*args):
+            pytest.fail("the n-by-n kernel was built")
+
+        monkeypatch.setattr(svm, "_signed_kernel", no_kernel)
+        with pytest.raises(ValueError, match=f"^{n} samples exceed the dense-kernel cap "
+                                             f"{svm.MAX_PRECOMPUTED_SAMPLES}$"):
+            build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
+        assert data._kernel is None
+
     def test_single_class_rejected(self):
         data = parse_libsvm("+1 1:1\n+1 1:2")
         with pytest.raises(ValueError, match="each class"):
@@ -275,9 +292,11 @@ class TestTrainAndPredict:
         assert predict(model, midpoint)[0] == pytest.approx(0.0, abs=1e-4)
         # the trained bias is only near 0, so the tie is built exactly: equal
         # weights on the two support vectors and bias 0 give the score 0.0
+        h = build_svm_dual(data, cfg).hessian.m
         for a in (0.3, 1.0, 7.77):
-            tied = SvmModel(alpha=np.array([a, a]), bias=0.0,
-                            support_indices=np.array([0, 1]), dataset=data,
+            alpha = np.array([a, a])
+            tied = SvmModel(alpha=alpha, bias=0.0, support_indices=np.array([0, 1]),
+                            decision_values=data.labels * (h @ alpha), dataset=data,
                             config=cfg)
             score, label = predict(tied, midpoint)
             assert score == 0.0
@@ -405,6 +424,45 @@ class TestKernelReuse:
         y = data.labels
         assert h[0, 1] == pytest.approx(
             y[0] * y[1] * rbf_kernel(data.samples[0], data.samples[1], 2.0), rel=1e-12)
+
+    def test_dual_hessian_is_the_cached_object(self, rng):
+        data = self.dataset(rng)
+        cfg = SvmConfig(sigma=1.0, c=2.0)
+        h = build_svm_dual(data, cfg).hessian
+        assert isinstance(h, DenseHessian)
+        assert build_svm_dual(data, SvmConfig(sigma=1.0, c=5.0)).hessian is h
+        assert data._kernel[0] == 1.0 and data._kernel[1] is h
+
+    def test_training_accuracy_reads_the_stored_decision_values(self, rng, monkeypatch):
+        """extract_model scores the training set with one product through the
+        cached Hessian; training_accuracy makes none, even after another
+        sigma replaced the cache."""
+        data = self.dataset(rng)
+        cfg = SvmConfig(sigma=1.0, c=2.0)
+        report = solve(build_svm_dual(data, cfg))
+        products = []
+        apply = DenseHessian.apply
+
+        def counting(self, v):
+            products.append(self)
+            return apply(self, v)
+
+        monkeypatch.setattr(DenseHessian, "apply", counting)
+        model = extract_model(data, cfg, report.x)
+        assert len(products) == 1 and products[0] is data._kernel[1]
+        y = data.labels
+        expected = [sum(report.x[i] * y[i] * rbf_kernel(data.samples[i], data.samples[j],
+                                                        cfg.sigma) for i in range(len(data)))
+                    for j in range(len(data))]
+        np.testing.assert_allclose(model.decision_values, expected, rtol=1e-12, atol=1e-14)
+
+        build_svm_dual(data, SvmConfig(sigma=3.0, c=2.0))
+        products.clear()
+        monkeypatch.setattr(data.samples, "toarray", lambda *a: pytest.fail("kernel rebuilt"))
+        accuracy = training_accuracy(model)
+        assert products == []
+        labels = np.where(np.asarray(expected) + model.bias >= 0, 1.0, -1.0)
+        assert accuracy == np.mean(labels == y)
 
     def test_cached_kernel_is_read_only(self, rng):
         h = build_svm_dual(self.dataset(rng), SvmConfig(sigma=1.0, c=1.0)).hessian.m
