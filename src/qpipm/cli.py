@@ -7,7 +7,9 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -235,15 +237,31 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="print one summary line per IPM iteration")
 
 
-def _check_outputs(args) -> None:
+def _check_outputs(args) -> list[str]:
     """Open each output path for appending, so that an unwritable one is a
-    ValueError before the solve instead of a traceback after it."""
+    ValueError before the solve instead of a traceback after it. Returns the
+    paths this probe created (empty files), for ``_discard`` when an input
+    error ends the command before the solve; on an unwritable path it
+    discards them itself. Files that already existed are left as they are."""
+    created: list[str] = []
     for flag, path in (("--solution", args.solution), ("--trace", args.trace)):
         if path:
+            existed = os.path.lexists(path)
             try:
                 open(path, "a").close()
             except OSError as exc:
+                _discard(created)
                 raise ValueError(f"cannot write {flag} file '{path}': {exc}") from None
+            if not existed:
+                created.append(path)
+    return created
+
+
+def _discard(paths: list[str]) -> None:
+    """Remove the empty files ``_check_outputs`` created."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 def _ipm_config(args) -> IpmConfig:
@@ -297,11 +315,12 @@ def cmd_solve_qp(args) -> int:
     try:
         cfg = _ipm_config(args)
         problem = load_qp_file(args.file)
-        _check_outputs(args)
+        created = _check_outputs(args)
     except ValueError as exc:  # out-of-range flag, QpFileError or unwritable output
         return _input_error(exc)
     violations = validate_problem(problem)
     if violations:
+        _discard(created)
         for v in violations:
             print(f"invalid problem: {v}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -310,16 +329,18 @@ def cmd_solve_qp(args) -> int:
 
 
 def cmd_solve_svm(args) -> int:
+    created: list[str] = []
     try:
         ipm_cfg = _ipm_config(args)
         cfg = svm.SvmConfig(sigma=args.sigma, c=args.c)
         with open(args.file, "rb") as fh:
             data = svm.parse_libsvm(fh.read())
-        _check_outputs(args)
+        created = _check_outputs(args)
         problem = svm.build_svm_dual(data, cfg)
     except OSError as exc:
         return _input_error(f"cannot read '{args.file}': {exc}")
     except ValueError as exc:  # bad flag, SvmParseError, unusable dataset or output
+        _discard(created)
         return _input_error(exc)
     report = solve(problem, ipm_cfg, verbose=args.verbose)
     extra: dict = {"alpha": report.x.tolist()}

@@ -128,14 +128,16 @@ def step_lengths(state: IterateState, direction: FullDirection,
 
 
 def apply_step(state: IterateState, direction: FullDirection,
-               alpha_x: float, alpha_lam: float) -> IterateState:
-    """Move x and slacks by alpha_x, all multipliers by alpha_lam."""
+               alpha_x: float, alpha_lam: float, mu_tol: float) -> IterateState:
+    """The iterate after moving x and slacks by alpha_x and all multipliers
+    by alpha_lam, its mu by ``_barrier_mu``."""
+    s = state.s + alpha_x * direction.ds
+    lam = state.lam + alpha_lam * direction.d_lam
     new = replace(
         state,
         x=state.x + alpha_x * direction.dx,
         lam_e=state.lam_e + alpha_lam * direction.d_lam_e,
-        s=state.s + alpha_x * direction.ds,
-        lam=state.lam + alpha_lam * direction.d_lam)
+        s=s, lam=lam, mu=_barrier_mu(s, lam, mu_tol))
     if new.min_interior() <= 0.0:
         raise InteriorityError("step left the strict interior")
     return new
@@ -194,16 +196,17 @@ def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig,
 
 
 def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
-                      r_c: np.ndarray, state: IterateState, cfg: PcgConfig,
+                      r_c: np.ndarray, cfg: PcgConfig,
                       direction_solver: DirectionSolver,
                       x0: np.ndarray | None) -> tuple[FullDirection, PcgResult]:
-    """One Newton direction for ``res`` and r_c (``kkt.assemble_rhs``); _LinearSolverFailure
-    when PCG broke down before its first step or returned a non-finite solution.
+    """One Newton direction at the operator's iterate for ``res`` and r_c
+    (``kkt.assemble_rhs``); _LinearSolverFailure when PCG broke down before
+    its first step or returned a non-finite solution.
 
     PCG starts at ``x0``, or at M^{-1} rhs when the preconditioner is exact:
     its explicit residual test then accepts that start with 0 CG
     iterations, and if it does not, PCG iterates from there."""
-    rhs = assemble_rhs(op, res, r_c, state)
+    rhs = assemble_rhs(op, res, r_c)
     if prec.exact:
         x0 = prec(rhs)
     try:
@@ -214,7 +217,7 @@ def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
     # no information about this system
     if (cg.iterations == 0 and not cg.converged) or not np.all(np.isfinite(cg.solution)):
         raise _LinearSolverFailure
-    return recover_directions(op, *op.split(cg.solution), res, r_c, state), cg
+    return recover_directions(op, *op.split(cg.solution), res, r_c), cg
 
 
 def solve(problem: QpProblem, cfg: IpmConfig | None = None,
@@ -231,8 +234,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     is exact, see ``_newton_direction``). The iterate then moves along the
     corrector with the ratio test; with m = 0, sigma = 0.
 
-    ``state.mu`` is s'lam/m at the start and after each step, but not below
-    mu_tol/10 (``_barrier_mu``). It enters the Newton system only as the
+    Iterates are immutable: ``initialize`` and ``apply_step`` build each one
+    with its ``state.mu``, s'lam/m but not below mu_tol/10 (``_barrier_mu``),
+    and a Newton system reads the iterate only through its operator
+    (``kkt.KktOperator.state``). mu enters the Newton system only as the
     equality rows' regularization D = mu on the rows of C; r_e is C x - b,
     so inconsistent equality rows end at the iteration limit. Without the
     floor, the seed-1 svm_dual benchmark input took 7 IPM iterations and 40
@@ -249,7 +254,8 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
 
     direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting
     the linear solver (used by tests to compare PCG against a dense
-    factorization). It is called twice per iteration, the predictor first;
+    factorization). It is called twice per iteration, the predictor first,
+    with the iteration's operator, which holds the iterate (``op.state``);
     prec is the iteration's shared preconditioner (``kkt.Preconditioner``)
     and x0 the start: prec(rhs) for both solves when prec.exact, otherwise
     None for the predictor and the predictor's solution for the corrector.
@@ -268,15 +274,14 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
                 prec = preconditioner(op)
                 gap = state.lam * state.s
                 affine, cg_aff = _newton_direction(
-                    op, prec, res, gap, state, cfg.pcg, direction_solver, None)
+                    op, prec, res, gap, cfg.pcg, direction_solver, None)
                 sigma_mu = update_barrier(state, affine, cfg)
                 direction, cg_corr = _newton_direction(
                     op, prec, res, gap + affine.ds * affine.d_lam - sigma_mu,
-                    state, cfg.pcg, direction_solver, cg_aff.solution)
+                    cfg.pcg, direction_solver, cg_aff.solution)
 
                 alpha_x, alpha_lam = step_lengths(state, direction, FRACTION_TO_BOUNDARY)
-                new = apply_step(state, direction, alpha_x, alpha_lam)
-                new.mu = _barrier_mu(new.s, new.lam, cfg.mu_tol)
+                new = apply_step(state, direction, alpha_x, alpha_lam, cfg.mu_tol)
                 res, state = compute_residuals(problem, new), new
                 measures = infeasibilities(res, state)
                 primal, dual, compl = measures

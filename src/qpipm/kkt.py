@@ -35,13 +35,15 @@ def _multiplier_view(family: int) -> property:
     return property(view)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterateState:
     """Primal point, multipliers, slacks and barrier parameter.
 
     s and lam are stacked as in the module docstring and stay strictly
     positive; splits as in ``BoundIndexMap``. lam_e is sign-unrestricted.
     lam_lA, lam_uA, lam_lx and lam_ux are read-only views of lam per family.
+    Immutable: mu is set by the code that builds an iterate
+    (``ipm.initialize``, ``ipm.apply_step``), and a step makes a new one.
     """
 
     x: np.ndarray
@@ -102,13 +104,19 @@ def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
 
 @dataclass(frozen=True)
 class KktOperator:
-    """Matrix-free doubly augmented system [[Q + 2B'D^{-1}B, B'], [B, D]].
+    """Matrix-free doubly augmented system [[Q + 2B'D^{-1}B, B'], [B, D]]
+    at the iterate ``state`` it was built from.
 
     Q u = H u + q_diag_extra * u; B = (C; A_l; -A_u); D is diagonal.
-    Immutable per IPM iteration; applications are pure.
+    bound_ratio is lam/s on the variable bounds (scattered, it is
+    q_diag_extra). ``assemble_rhs`` and ``recover_directions`` read the
+    iterate from here, so a Newton system has one iterate. Immutable per
+    IPM iteration; applications are pure.
     """
 
     problem: QpProblem
+    state: IterateState
+    bound_ratio: np.ndarray
     q_diag_extra: np.ndarray
     d_diag: np.ndarray
 
@@ -138,12 +146,14 @@ class KktOperator:
 
 
 def build_operator(problem: QpProblem, state: IterateState) -> KktOperator:
-    """Assemble the diagonal data of the doubly augmented operator; no matrices formed."""
+    """Assemble the diagonal data of the doubly augmented operator at ``state``;
+    no matrices formed."""
     bmap = problem.layout
     m = bmap.m_rows
+    bound_ratio = state.lam[m:] / state.s[m:]
     return KktOperator(
-        problem=problem,
-        q_diag_extra=bmap.scatter_var(state.lam[m:] / state.s[m:]),
+        problem=problem, state=state, bound_ratio=bound_ratio,
+        q_diag_extra=bmap.scatter_var(bound_ratio),
         d_diag=np.concatenate([np.full(bmap.m_eq, state.mu), state.s[:m] / state.lam[:m]]))
 
 
@@ -229,9 +239,8 @@ def preconditioner(op: KktOperator) -> Preconditioner:
         except np.linalg.LinAlgError:
             pass  # then T + VSV' is singular too
     diag = jacobi_diagonal(op)
-    diag = np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
-    return Preconditioner(_woodbury_inverse(u[:, :0], w[:0], np.zeros((0, 0)), diag[:op.n],
-                                            diag[op.n:], layout, kept[:0]))
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
+    return Preconditioner(lambda v: inv_diag * v)
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
@@ -299,15 +308,15 @@ def _woodbury_inverse(u: np.ndarray, w: np.ndarray, gram: np.ndarray, t: np.ndar
     return apply
 
 
-def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray,
-                 state: IterateState) -> np.ndarray:
+def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray) -> np.ndarray:
     """Right-hand side (r1 + 2 B' D^{-1} r2, r2) of the doubly augmented system
-    for the residuals ``res`` and the Newton step's S dlam + Lam ds = -r_c."""
+    for the residuals ``res`` and the Newton step's S dlam + Lam ds = -r_c,
+    with s and lam of the operator's iterate."""
     bmap = op.problem.layout
     m = bmap.m_rows
-    lam, s = state.lam, state.s
+    lam, s = op.state.lam, op.state.s
     r1 = -res.r_H - bmap.scatter_var(
-        bmap.var_sign * (r_c[m:] / s[m:] + (lam[m:] / s[m:]) * res.r_p[m:]))
+        bmap.var_sign * (r_c[m:] / s[m:] + op.bound_ratio * res.r_p[m:]))
     r2 = np.concatenate([-res.r_e, -res.r_p[:m] - r_c[:m] / lam[:m]])
     rhs = np.concatenate([r1 + op.apply_bt(2.0 * r2 / op.d_diag), r2])
     if not np.all(np.isfinite(rhs)):
@@ -316,15 +325,16 @@ def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray,
 
 
 def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
-                       res: Residuals, r_c: np.ndarray, state: IterateState) -> FullDirection:
-    """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system.
+                       res: Residuals, r_c: np.ndarray) -> FullDirection:
+    """Back-substitute (dx, d_lam_A) into the eliminated blocks of the full system
+    at the operator's iterate.
 
     Rows of B take ds from complementarity (r_c as in ``assemble_rhs``);
     variable bounds take ds from the primal block and then d_lam from it.
     """
     bmap = op.problem.layout
     m = bmap.m_rows
-    lam, s = state.lam, state.s
+    lam, s = op.state.lam, op.state.s
     d_lam_rows = d_lam_a[bmap.m_eq:]
     ds_rows = -(r_c[:m] + s[:m] * d_lam_rows) / lam[:m]
     ds_var = bmap.var_sign * dx[bmap.var_idx] + res.r_p[m:]

@@ -218,8 +218,9 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
     ``build_svm_dual``, built here only if ``data`` holds none for
     ``cfg.sigma``; the model keeps them."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    # hard margin (c = inf): the threshold scales with the largest alpha instead
-    tau = 1e-5 * (cfg.c if np.isfinite(cfg.c) else alpha.max())
+    # relative to the largest alpha too: with a loose c (or c = inf) every
+    # alpha can sit far below c
+    tau = 1e-5 * min(cfg.c, alpha.max())
     support = np.where(alpha > tau)[0]
     if len(support) == 0:
         raise DegenerateModelError("no support vectors (all alpha at zero)")

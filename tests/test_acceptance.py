@@ -68,7 +68,7 @@ def test_criterion_1_pcg_direction_matches_dense_oracle(oracle_instances):
     for problem, state in oracle_instances:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
-        rhs = assemble_rhs(op, res, centering_target(state), state)
+        rhs = assemble_rhs(op, res, centering_target(state))
         cg = pcg(lambda v: apply_doubly_augmented(op, v),
                  lambda v, d=1.0 / jacobi_diagonal(op): d * v, rhs, cfg)
         parts = DenseParts(problem, state)
@@ -136,7 +136,7 @@ def test_criterion_4_full_newton_consistency(oracle_instances):
         k9, rhs9 = parts.doubly_augmented_system()
         sol = dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9))
         d = recover_directions(op, sol[:problem.n], sol[problem.n:], res,
-                               centering_target(state), state)
+                               centering_target(state))
         k_full, rhs_full = parts.full_system()
         rel = np.linalg.norm(k_full @ parts.direction_vector(d) - rhs_full) \
             / (1.0 + np.linalg.norm(rhs_full))

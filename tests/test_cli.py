@@ -242,6 +242,25 @@ class TestSolveQpCommand:
         assert captured.err.startswith(f"error: cannot write {flag} file '{out}'")
         assert "status=" not in captured.out
 
+    def test_invalid_problem_leaves_no_new_output_file(self, tmp_path, capsys):
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps({"n": 1, "hessian": {"kind": "diagonal", "d": [1]},
+                                    "p": [0]}))
+        sol, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        trace.write_text("kept\n")
+        assert main(["solve-qp", str(path), "--solution", str(sol),
+                     "--trace", str(trace)]) == 1
+        assert "invalid problem: no finite bounds" in capsys.readouterr().err
+        assert not sol.exists()
+        assert trace.read_text() == "kept\n"
+
+    def test_unwritable_trace_removes_the_probed_solution(self, qp_path, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        assert main(["solve-qp", qp_path, "--solution", str(sol),
+                     "--trace", str(tmp_path / "missing" / "trace.csv")]) == 1
+        assert "cannot write --trace file" in capsys.readouterr().err
+        assert not sol.exists()
+
     def test_verbose_prints_iterations(self, qp_path, capsys):
         assert main(["solve-qp", qp_path, "--verbose"]) == 0
         out = capsys.readouterr().out
@@ -412,6 +431,39 @@ class TestSolveSvmCommand:
         assert "(2 support vectors)" in captured.out
         assert "warning" not in captured.err
 
+    def test_loose_c_reports_the_support_vectors(self, tmp_path, capsys):
+        """Every alpha ends far below c = 1e6: the support threshold follows
+        the largest alpha, as with c = inf."""
+        data = tmp_path / "four.svm"
+        data.write_text("+1 1:1\n-1 2:1\n+1 1:0.9 2:0.1\n-1 1:0.1 2:0.8\n")
+        sol = str(tmp_path / "model.json")
+        code = main(["solve-svm", str(data), "--sigma", "1", "--c", "1e6",
+                     "--solution", sol])
+        assert code == 0
+        doc = json.load(open(sol))
+        assert math.isfinite(doc["bias"]) and doc["support_indices"] == [2, 3]
+        captured = capsys.readouterr()
+        assert "(2 support vectors)" in captured.out
+        assert "warning" not in captured.err
+
+    def test_degenerate_model_is_a_warning(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args):
+            raise svm.DegenerateModelError("no support vectors (all alpha at zero)")
+
+        monkeypatch.setattr(svm, "extract_model", degenerate)
+        data = tmp_path / "tiny.svm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        sol = str(tmp_path / "model.json")
+        code = main(["solve-svm", str(data), "--sigma", "1", "--c", "10",
+                     "--solution", sol])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: no support vectors (all alpha at zero)\n"
+        assert captured.out.startswith("status=converged ")
+        doc = json.load(open(sol))
+        assert doc["status"] == "converged" and len(doc["alpha"]) == 2
+        assert not {"bias", "support_indices", "training_accuracy"} & set(doc)
+
     def test_failed_solve_reports_no_model(self, tmp_path, capsys):
         """The start point alpha = c/2 = 5e299 overflows the residuals."""
         data = tmp_path / "tiny.svm"
@@ -448,6 +500,17 @@ class TestSolveSvmCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write --trace file '{out}'")
         assert captured.out == ""
+
+    def test_rejected_dataset_leaves_no_new_output_file(self, tmp_path, capsys):
+        data = tmp_path / "one_class.svm"
+        data.write_text("+1 1:1\n+1 2:1\n")
+        sol, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+        sol.write_text("kept\n")
+        assert main(["solve-svm", str(data), "--sigma", "1", "--c", "1",
+                     "--solution", str(sol), "--trace", str(trace)]) == 1
+        assert "one sample of each class" in capsys.readouterr().err
+        assert sol.read_text() == "kept\n"
+        assert not trace.exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         path = str(tmp_path / "missing.svm")

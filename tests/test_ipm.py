@@ -128,14 +128,14 @@ class TestApplyStep:
     def test_zero_direction_is_identity(self):
         state = _state_with_slacks([1.0], [2.0])
         d = _direction_with(state)
-        new = apply_step(state, d, 1.0, 1.0)
+        new = apply_step(state, d, 1.0, 1.0, 1e-6)
         np.testing.assert_array_equal(new.s, state.s)
         np.testing.assert_array_equal(new.lam, state.lam)
 
     def test_near_boundary_stays_interior(self):
         state = _state_with_slacks([1.0], [1.0])
         d = _direction_with(state, ds=np.array([-1.0]))
-        new = apply_step(state, d, 0.99, 0.0)
+        new = apply_step(state, d, 0.99, 0.0, 1e-6)
         assert new.s[0] == pytest.approx(0.01)
         assert new.s[0] > 0.0
 
@@ -143,7 +143,7 @@ class TestApplyStep:
         state = _state_with_slacks([1.0], [1.0])
         d = _direction_with(state, ds=np.array([-2.0]))
         with pytest.raises(InteriorityError):
-            apply_step(state, d, 1.0, 0.0)
+            apply_step(state, d, 1.0, 0.0, 1e-6)
 
     def test_random_directions_stay_interior(self, rng):
         for _ in range(20):
@@ -152,9 +152,9 @@ class TestApplyStep:
             op = build_operator(p, state)
             res = compute_residuals(p, state)
             v = rng.standard_normal(op.dim)
-            d = recover_directions(op, v[:p.n], v[p.n:], res, centering_target(state), state)
+            d = recover_directions(op, v[:p.n], v[p.n:], res, centering_target(state))
             ax, al = step_lengths(state, d, 0.99)
-            new = apply_step(state, d, ax, al)
+            new = apply_step(state, d, ax, al, 1e-6)
             assert new.min_interior() > 0.0
 
 

@@ -210,7 +210,7 @@ class TestAssembleRhs:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         zero = type(res)(**{k: np.zeros_like(v) for k, v in res.__dict__.items()})
-        np.testing.assert_array_equal(assemble_rhs(op, zero, np.zeros(1), state),
+        np.testing.assert_array_equal(assemble_rhs(op, zero, np.zeros(1)),
                                       np.zeros(op.dim))
 
     def test_unconstrained_is_negated_stationarity(self):
@@ -218,13 +218,13 @@ class TestAssembleRhs:
         state = make_state(np.zeros(1), 0.5)
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)  # r_H = p = (1)
-        np.testing.assert_allclose(assemble_rhs(op, res, np.zeros(0), state), [-1.0])
+        np.testing.assert_allclose(assemble_rhs(op, res, np.zeros(0)), [-1.0])
 
     def test_matches_dense_reduction(self, rng):
         for problem, state in make_instances(rng, 8, n=6):
             op = build_operator(problem, state)
             res = compute_residuals(problem, state)
-            rhs = assemble_rhs(op, res, centering_target(state), state)
+            rhs = assemble_rhs(op, res, centering_target(state))
             _, oracle_rhs = DenseParts(problem, state).doubly_augmented_system()
             np.testing.assert_allclose(rhs, oracle_rhs, rtol=1e-11, atol=1e-11)
 
@@ -233,7 +233,7 @@ class TestAssembleRhs:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         with pytest.raises(FloatingPointError, match="non-finite right-hand side"):
-            assemble_rhs(op, res, np.array([np.inf]), state)
+            assemble_rhs(op, res, np.array([np.inf]))
 
 
 class TestBlockRowEquivalence:
@@ -271,7 +271,7 @@ class TestRecoverDirections:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         zero = type(res)(**{k: np.zeros_like(v) for k, v in res.__dict__.items()})
-        d = recover_directions(op, np.zeros(1), np.zeros(1), zero, np.zeros(1), state)
+        d = recover_directions(op, np.zeros(1), np.zeros(1), zero, np.zeros(1))
         for block in d.__dict__.values():
             assert not np.any(block)
 
@@ -280,7 +280,7 @@ class TestRecoverDirections:
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
         with pytest.raises(FloatingPointError, match="non-finite direction component"):
-            recover_directions(op, np.zeros(1), np.zeros(1), res, np.array([np.inf]), state)
+            recover_directions(op, np.zeros(1), np.zeros(1), res, np.array([np.inf]))
 
     def test_single_lower_var_bound_full_residual(self):
         problem = box_qp(DiagonalHessian([2.0]), [-1.0], [0.5], [np.inf])
@@ -290,7 +290,7 @@ class TestRecoverDirections:
         parts = DenseParts(problem, state)
         k9, rhs9 = parts.doubly_augmented_system()
         sol = np.atleast_1d(dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9)))
-        d = recover_directions(op, sol[:1], sol[1:], res, centering_target(state), state)
+        d = recover_directions(op, sol[:1], sol[1:], res, centering_target(state))
         k_full, rhs_full = parts.full_system()
         resid = k_full @ parts.direction_vector(d) - rhs_full
         assert np.linalg.norm(resid) < 1e-12
@@ -303,7 +303,7 @@ class TestRecoverDirections:
             k9, rhs9 = parts.doubly_augmented_system()
             sol = dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9))
             d = recover_directions(op, sol[:problem.n], sol[problem.n:], res,
-                                   centering_target(state), state)
+                                   centering_target(state))
             k_full, rhs_full = parts.full_system()
             resid = k_full @ parts.direction_vector(d) - rhs_full
             assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(rhs_full))
@@ -316,7 +316,7 @@ class TestRecoverDirections:
             k9, rhs9 = parts.doubly_augmented_system()
             sol = dense_solve(np.atleast_2d(k9), np.atleast_1d(rhs9))
             d = recover_directions(op, sol[:problem.n], sol[problem.n:], res,
-                                   centering_target(state), state)
+                                   centering_target(state))
             k_full, rhs_full = parts.full_system()
             full = dense_solve(k_full, rhs_full)
             got = parts.direction_vector(d)
