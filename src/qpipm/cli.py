@@ -7,7 +7,6 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -173,10 +172,20 @@ def parse_qp_document(doc: dict) -> QpProblem:
     )
 
 
+def _unique_members(pairs) -> dict:
+    """json's object hook: a member stated twice is an error, not the last one."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise QpFileError(f"duplicate member '{key}'")
+        doc[key] = value
+    return doc
+
+
 def load_qp_file(path: str) -> QpProblem:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_members)
     except OSError as exc:
         raise QpFileError(f"cannot read '{path}': {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -225,8 +234,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="tolerance of the scaled primal, dual and complementarity "
                         "stopping test (default: %(default)s)")
     p.add_argument("--cg-tol", type=float, default=1e-7,
-                   help="CG residual tolerance, relative to the right-hand side "
-                        "(default: %(default)s)")
+                   help="CG residual tolerance in (0, 1), relative to the "
+                        "right-hand side (default: %(default)s)")
     p.add_argument("--cg-maxit", type=int, default=5000,
                    help="CG iteration cap (default: %(default)s)")
     p.add_argument("--max-iter", type=int, default=200,
@@ -237,31 +246,24 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="print one summary line per IPM iteration")
 
 
-def _check_outputs(args) -> list[str]:
+def _check_outputs(args) -> None:
     """Open each output path for appending, so that an unwritable one is a
-    ValueError before the solve instead of a traceback after it. Returns the
-    paths this probe created (empty files), for ``_discard`` when an input
-    error ends the command before the solve; on an unwritable path it
-    discards them itself. Files that already existed are left as they are."""
-    created: list[str] = []
+    ValueError before the solve instead of a traceback after it. A path that
+    did not exist before the probe is removed again at once, so an output
+    file exists only once ``_finish`` writes it; a file that already existed
+    is left as it is. The two paths must not name the same file."""
+    if (args.solution and args.trace
+            and os.path.realpath(args.solution) == os.path.realpath(args.trace)):
+        raise ValueError("--solution and --trace name the same file")
     for flag, path in (("--solution", args.solution), ("--trace", args.trace)):
         if path:
             existed = os.path.lexists(path)
             try:
                 open(path, "a").close()
             except OSError as exc:
-                _discard(created)
                 raise ValueError(f"cannot write {flag} file '{path}': {exc}") from None
             if not existed:
-                created.append(path)
-    return created
-
-
-def _discard(paths: list[str]) -> None:
-    """Remove the empty files ``_check_outputs`` created."""
-    for path in paths:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+                os.remove(path)
 
 
 def _ipm_config(args) -> IpmConfig:
@@ -315,12 +317,11 @@ def cmd_solve_qp(args) -> int:
     try:
         cfg = _ipm_config(args)
         problem = load_qp_file(args.file)
-        created = _check_outputs(args)
-    except ValueError as exc:  # out-of-range flag, QpFileError or unwritable output
+        _check_outputs(args)
+    except ValueError as exc:  # out-of-range flag, QpFileError or unusable output
         return _input_error(exc)
     violations = validate_problem(problem)
     if violations:
-        _discard(created)
         for v in violations:
             print(f"invalid problem: {v}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -329,18 +330,16 @@ def cmd_solve_qp(args) -> int:
 
 
 def cmd_solve_svm(args) -> int:
-    created: list[str] = []
     try:
         ipm_cfg = _ipm_config(args)
         cfg = svm.SvmConfig(sigma=args.sigma, c=args.c)
         with open(args.file, "rb") as fh:
             data = svm.parse_libsvm(fh.read())
-        created = _check_outputs(args)
+        _check_outputs(args)
         problem = svm.build_svm_dual(data, cfg)
     except OSError as exc:
         return _input_error(f"cannot read '{args.file}': {exc}")
     except ValueError as exc:  # bad flag, SvmParseError, unusable dataset or output
-        _discard(created)
         return _input_error(exc)
     report = solve(problem, ipm_cfg, verbose=args.verbose)
     extra: dict = {"alpha": report.x.tolist()}

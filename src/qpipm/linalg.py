@@ -22,12 +22,17 @@ class PcgBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class PcgConfig:
+    """``tol``: PCG stops once the residual is at most ``tol`` times the norm
+    of the right-hand side, so it must lie in (0, 1); at 1 or more the zero
+    start would be accepted and every step would be zero. ``max_iters``: the
+    CG iteration cap."""
+
     tol: float = 1e-7
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < 1:  # NaN fails too
+            raise ValueError("tol must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

@@ -130,6 +130,13 @@ class TestQpFile:
         np.testing.assert_allclose(report.x, [1.0, 0.0], atol=1e-4)
         assert report.objective == pytest.approx(-1.5, abs=1e-4)
 
+    def test_readme_python_examples_run(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            exec(block, {})
+        assert capsys.readouterr().out.count("\n") == 2
+
     def test_coo_and_bfgs_round_trip(self, rng):
         n = 4
         dense = rng.standard_normal((n, n))
@@ -260,6 +267,17 @@ class TestSolveQpCommand:
                      "--trace", str(tmp_path / "missing" / "trace.csv")]) == 1
         assert "cannot write --trace file" in capsys.readouterr().err
         assert not sol.exists()
+
+    def test_interrupted_solve_leaves_no_new_output_file(self, qp_path, tmp_path,
+                                                          monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("qpipm.cli.solve", interrupt)
+        sol, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve-qp", qp_path, "--solution", str(sol), "--trace", str(trace)])
+        assert not sol.exists() and not trace.exists()
 
     def test_verbose_prints_iterations(self, qp_path, capsys):
         assert main(["solve-qp", qp_path, "--verbose"]) == 0
@@ -645,9 +663,14 @@ _ONE_A_ROW = {"l": [0.0], "u": [1.0]}
      "member 'hessian.u' must be an n-row array of arrays"),
     ("[1]", "document root must be an object"),
     ("{", "is not valid JSON"),
+    ('{"n": 1, "hessian": {"kind": "diagonal", "d": [1]}, "p": [0], "p": [1]}',
+     "duplicate member 'p'"),
+    ('{"n": 1, "hessian": {"kind": "diagonal", "d": [1], "d": [2]}, "p": [0]}',
+     "duplicate member 'd'"),
 ], ids=["not_array", "null", "non_numeric", "index_range", "bound_lengths",
         "coo_not_object", "coo_missing", "coo_lengths", "hessian_kind",
-        "diagonal_length", "bfgs_rows", "root", "json"])
+        "diagonal_length", "bfgs_rows", "root", "json", "duplicate",
+        "duplicate_nested"])
 def test_malformed_qp_file_is_named_input_error(content, message, tmp_path, capsys):
     """content: members replacing those of ``box_qp_doc``, or the file's text."""
     path = tmp_path / "bad.json"
@@ -799,11 +822,12 @@ def test_readme_common_flags_are_accepted_with_their_defaults():
     ("solve-qp", ["--cg-tol", "0"]),
     ("solve-qp", ["--mu-tol", "-1"]),
     ("solve-qp", ["--cg-tol", "nan"]),
+    ("solve-qp", ["--cg-tol", "1"]),
     ("solve-qp", ["--max-iter", "-3"]),
     ("solve-svm", ["--sigma", "0", "--c", "1"]),
     ("solve-svm", ["--sigma", "nan", "--c", "1"]),
     ("solve-svm", ["--sigma", "1", "--c", "-1"]),
-], ids=["cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "max-iter",
+], ids=["cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "cg-tol-one", "max-iter",
         "sigma", "sigma-nan", "c"])
 def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, capsys):
     path = qp_path
@@ -813,6 +837,21 @@ def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, cap
     assert main([command, str(path), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve-qp", "solve-svm"])
+def test_same_solution_and_trace_file_is_input_error(command, qp_path, tmp_path, capsys):
+    path, flags = qp_path, []
+    if command == "solve-svm":
+        path, flags = tmp_path / "tiny.svm", ["--sigma", "1", "--c", "1"]
+        path.write_text("+1 1:1\n-1 2:1\n")
+    out = tmp_path / "out.json"
+    assert main([command, str(path), *flags, "--solution", str(out),
+                 "--trace", str(tmp_path / "." / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --solution and --trace name the same file\n"
+    assert "status=" not in captured.out
+    assert not out.exists()
 
 
 class TestLayoutBuiltOnce:

@@ -170,6 +170,8 @@ class TestPcg:
         with pytest.raises(ValueError):
             PcgConfig(tol=0.0)
         with pytest.raises(ValueError):
+            PcgConfig(tol=1.0)
+        with pytest.raises(ValueError):
             PcgConfig(max_iters=0)
 
 
