@@ -11,11 +11,11 @@ from typing import Callable
 
 import numpy as np
 
-from .kkt import (FullDirection, IterateState, KktOperator, Preconditioner,
-                  Residuals, apply_doubly_augmented, assemble_rhs,
-                  build_operator, compute_residuals, preconditioner,
-                  recover_directions)
-# perfbench's layer trace wraps this name in ipm's namespace
+from .kkt import (FullDirection, IterateState, KktOperator, Residuals,
+                  apply_doubly_augmented, assemble_rhs, build_operator,
+                  compute_residuals, preconditioner, recover_directions)
+# solve() never calls this name: it stays only so that perfbench's
+# test_wrappers_are_removed resolves layertrace.TARGETS, which wraps it here
 from .kkt import jacobi_diagonal  # noqa: F401
 from .linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
 from .model import QpProblem
@@ -52,8 +52,8 @@ class IpmConfig:
     pcg: PcgConfig = field(default_factory=PcgConfig)
 
     def __post_init__(self):
-        if not self.mu_tol > 0:  # NaN fails too
-            raise ValueError("mu_tol must be positive")
+        if not 0 < self.mu_tol < np.inf:  # NaN fails too
+            raise ValueError("mu_tol must be finite and positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -186,16 +186,17 @@ def _converged(problem: QpProblem, measures: tuple[float, float, float],
             and dual <= tol * (1.0 + _max_abs(problem.p)) and compl <= tol)
 
 
-DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig, Preconditioner,
+LinearMap = Callable[[np.ndarray], np.ndarray]
+DirectionSolver = Callable[[KktOperator, np.ndarray, PcgConfig, LinearMap,
                             np.ndarray | None], PcgResult]
 
 
 def _pcg_direction(op: KktOperator, rhs: np.ndarray, cfg: PcgConfig,
-                   prec: Preconditioner, x0: np.ndarray | None) -> PcgResult:
+                   prec: LinearMap, x0: np.ndarray | None) -> PcgResult:
     return pcg(lambda v: apply_doubly_augmented(op, v), prec, rhs, cfg, x0=x0)
 
 
-def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
+def _newton_direction(op: KktOperator, prec: LinearMap, res: Residuals,
                       r_c: np.ndarray, cfg: PcgConfig,
                       direction_solver: DirectionSolver,
                       x0: np.ndarray | None) -> tuple[FullDirection, PcgResult]:
@@ -203,11 +204,13 @@ def _newton_direction(op: KktOperator, prec: Preconditioner, res: Residuals,
     (``kkt.assemble_rhs``); _LinearSolverFailure when PCG broke down before
     its first step or returned a non-finite solution.
 
-    PCG starts at ``x0``, or at M^{-1} rhs when the preconditioner is exact:
-    its explicit residual test then accepts that start with 0 CG
-    iterations, and if it does not, PCG iterates from there."""
+    PCG starts at M^{-1} rhs = prec(rhs) when B is empty (op.m == 0, only
+    variable bounds), otherwise at ``x0``. With B empty and a Hessian that is
+    a diagonal plus its low-rank term, M is the system itself
+    (``kkt.preconditioner``): PCG's explicit residual test then accepts that
+    start with 0 CG iterations, and if it does not, PCG iterates from there."""
     rhs = assemble_rhs(op, res, r_c)
-    if prec.exact:
+    if op.m == 0:
         x0 = prec(rhs)
     try:
         cg = direction_solver(op, rhs, cfg, prec, x0)
@@ -230,8 +233,8 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     solves with complementarity block r_c = lam * s; its largest steps to
     the boundary give mu_aff, and sigma = (mu_aff/mu)^3. The corrector solves with
     r_c = lam * s + ds_aff * dlam_aff - sigma mu, its PCG started from the
-    predictor's solution (both start at M^{-1} rhs when the preconditioner
-    is exact, see ``_newton_direction``). The iterate then moves along the
+    predictor's solution (both start at M^{-1} rhs when B is empty, see
+    ``_newton_direction``). The iterate then moves along the
     corrector with the ratio test; with m = 0, sigma = 0.
 
     Iterates are immutable: ``initialize`` and ``apply_step`` build each one
@@ -256,9 +259,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     the linear solver (used by tests to compare PCG against a dense
     factorization). It is called twice per iteration, the predictor first,
     with the iteration's operator, which holds the iterate (``op.state``);
-    prec is the iteration's shared preconditioner (``kkt.Preconditioner``)
-    and x0 the start: prec(rhs) for both solves when prec.exact, otherwise
-    None for the predictor and the predictor's solution for the corrector.
+    prec is the iteration's shared preconditioner v -> M^{-1} v
+    (``kkt.preconditioner``) and x0 the start: prec(rhs) for both solves
+    when B is empty (op.m == 0), otherwise None for the predictor and the
+    predictor's solution for the corrector.
     """
     if cfg is None:
         cfg = IpmConfig()

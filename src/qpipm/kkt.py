@@ -11,10 +11,9 @@ B and B' are built once per problem (``QpProblem.layout``). The PCG
 preconditioner keeps the Hessian's low-rank term and the dominant rows of B
 whole and applies its inverse with the Woodbury identity; the rest of the
 top block is cut to its diagonal. With nothing kept whole it is Jacobi.
-With only variable bounds and a Hessian that is a diagonal plus a low-rank
-term it is the system itself (``Preconditioner.exact``). The low-rank
-term's Gram U' T^{-1} U comes from ``QpProblem.low_rank_gram``, which
-reads only the rows of U whose diagonal entry moved.
+The low-rank term's Gram U' T^{-1} U comes from
+``QpProblem.low_rank_gram``, which reads only the rows of U whose diagonal
+entry moved.
 """
 
 from __future__ import annotations
@@ -187,21 +186,8 @@ def jacobi_diagonal(op: KktOperator) -> np.ndarray:
 _MAX_KEPT_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class Preconditioner:
-    """v -> M^{-1} v for PCG, called as ``prec(v)``. ``exact`` says that M
-    is the doubly augmented matrix itself, so that M^{-1} b solves the
-    system up to rounding."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    exact: bool = False
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
-
-
-def preconditioner(op: KktOperator) -> Preconditioner:
-    """M^{-1} for PCG on the doubly augmented system, by ``_woodbury_inverse``.
+def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> M^{-1} v for PCG on the doubly augmented system, by ``_woodbury_inverse``.
 
     With (d, U, w) = ``hessian.low_rank()``, M = blockdiag(T + V S V', D),
     V = [U, B_k'] and S = diag(w, 2/D_k): the Hessian's low-rank term and the
@@ -217,9 +203,9 @@ def preconditioner(op: KktOperator) -> Preconditioner:
     entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
     M is Jacobi on ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
 
-    M is exact when B is empty (m = 0, only variable bounds), the Hessian's
-    ``low_rank_exact`` holds and the Woodbury path was taken: then
-    T + UWU' = Q, the whole top block, and there is no bottom block.
+    When B is empty (m = 0, only variable bounds) and the Hessian is a
+    diagonal plus its low-rank term, the Woodbury path gives M = Q, the
+    whole system: M^{-1} rhs then solves it up to rounding.
     """
     layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()
@@ -232,15 +218,13 @@ def preconditioner(op: KktOperator) -> Preconditioner:
     t += 2.0 * (layout.bt_sq @ inv_d)
     if np.all(t > 0):
         try:
-            return Preconditioner(
-                _woodbury_inverse(u, w, op.problem.low_rank_gram(t),
-                                  t, op.d_diag, layout, kept),
-                exact=op.m == 0 and op.problem.hessian.low_rank_exact)
+            return _woodbury_inverse(u, w, op.problem.low_rank_gram(t),
+                                     t, op.d_diag, layout, kept)
         except np.linalg.LinAlgError:
             pass  # then T + VSV' is singular too
     diag = jacobi_diagonal(op)
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
-    return Preconditioner(lambda v: inv_diag * v)
+    return lambda v: inv_diag * v
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:

@@ -10,10 +10,8 @@ Every Hessian class implements the only members the solver reads (no code
 outside the classes looks at a Hessian's type): ``n``; ``apply(v)``, the
 product H v; ``low_rank()``, ``(d, U, w)`` with H = R + U diag(w) U' and
 d = diag(R), where k = 0 and d = diag(H) except for ``QuasiNewtonHessian``
-(d = h0_diag); ``low_rank_exact``, a class attribute that is True when R is
-diagonal, so that ``low_rank()`` drops nothing (``DiagonalHessian`` and
-``QuasiNewtonHessian``); ``validate()``, a list of violations (empty when
-valid); and ``to_json()``, the ``hessian`` member of the QP file format.
+(d = h0_diag); ``validate()``, a list of violations (empty when valid); and
+``to_json()``, the ``hessian`` member of the QP file format.
 The low-rank term's Gram U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
 """
 
@@ -94,8 +92,6 @@ def _no_update(d: np.ndarray):
 class DiagonalHessian:
     d: np.ndarray
 
-    low_rank_exact = True
-
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
 
@@ -122,8 +118,6 @@ class SparseHessian:
     sparse matrix given, both triangles stored."""
 
     m: sp.csr_matrix
-
-    low_rank_exact = False
 
     def __post_init__(self):
         object.__setattr__(self, "m", _canonical_csr(self.m))
@@ -154,8 +148,6 @@ class DenseHessian:
     """
 
     m: np.ndarray
-
-    low_rank_exact = False
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.ascontiguousarray(self.m, dtype=np.float64))
@@ -195,8 +187,6 @@ class QuasiNewtonHessian:
     u: np.ndarray
     w: np.ndarray
 
-    low_rank_exact = True
-
     def __post_init__(self):
         h0 = np.asarray(self.h0_diag, dtype=np.float64)
         u = np.asarray(self.u, dtype=np.float64)
@@ -230,7 +220,6 @@ class Hessian(Protocol):
     """The members listed in the module docstring."""
 
     n: int
-    low_rank_exact: bool
 
     def apply(self, v: np.ndarray) -> np.ndarray: ...
     def low_rank(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...

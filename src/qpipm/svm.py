@@ -34,7 +34,9 @@ class DegenerateModelError(RuntimeError):
 @dataclass(frozen=True)
 class SvmDataset:
     """Samples as the rows of ``samples``, a canonical CSR copy of the given
-    scipy sparse matrix (see ``QpProblem``), and their ±1 ``labels``."""
+    scipy sparse matrix (see ``QpProblem``), and their ±1 ``labels``, one
+    per sample row; ValueError names the first other label or the two
+    counts."""
 
     samples: sp.csr_matrix
     labels: np.ndarray
@@ -43,7 +45,14 @@ class SvmDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _canonical_csr(self.samples))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
+        labels = np.asarray(self.labels, dtype=np.float64)
+        if labels.shape != (len(self),):
+            raise ValueError(f"labels of shape {labels.shape} for {len(self)} "
+                             "samples: expected one label per sample")
+        bad = np.flatnonzero(np.abs(labels) != 1.0)  # NaN included
+        if len(bad):
+            raise ValueError(f"label {labels[bad[0]]} of sample {bad[0]} is not +1 or -1")
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self):
         return self.samples.shape[0]

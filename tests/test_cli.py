@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -595,6 +598,19 @@ class TestCheckCommand:
     def test_unreadable(self):
         assert main(["check", "/no/such/file"]) == 1
 
+    def test_python_dash_m_exits_with_the_command_status(self, qp_path, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def run(path):
+            return subprocess.run([sys.executable, "-m", "qpipm", "check", str(path)],
+                                  capture_output=True, text=True, env=env)
+
+        valid = run(qp_path)
+        assert valid.returncode == 0 and "OK n=1 m_A=0 m_E=0" in valid.stdout, valid.stderr
+        missing = run(tmp_path / "missing.json")
+        assert missing.returncode == 1
+        assert missing.stderr.startswith("error: cannot read ")
+
 
 def _short_h0_diag(path):
     doc = box_qp_doc()
@@ -821,14 +837,15 @@ def test_readme_common_flags_are_accepted_with_their_defaults():
     ("solve-qp", ["--cg-maxit", "0"]),
     ("solve-qp", ["--cg-tol", "0"]),
     ("solve-qp", ["--mu-tol", "-1"]),
+    ("solve-qp", ["--mu-tol", "inf"]),
     ("solve-qp", ["--cg-tol", "nan"]),
     ("solve-qp", ["--cg-tol", "1"]),
     ("solve-qp", ["--max-iter", "-3"]),
     ("solve-svm", ["--sigma", "0", "--c", "1"]),
     ("solve-svm", ["--sigma", "nan", "--c", "1"]),
     ("solve-svm", ["--sigma", "1", "--c", "-1"]),
-], ids=["cg-maxit", "cg-tol", "mu-tol", "cg-tol-nan", "cg-tol-one", "max-iter",
-        "sigma", "sigma-nan", "c"])
+], ids=["cg-maxit", "cg-tol", "mu-tol", "mu-tol-inf", "cg-tol-nan", "cg-tol-one",
+        "max-iter", "sigma", "sigma-nan", "c"])
 def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, capsys):
     path = qp_path
     if command == "solve-svm":

@@ -17,7 +17,7 @@ from qpipm.kkt import (FullDirection, Residuals, apply_doubly_augmented,
                        build_operator, compute_residuals, preconditioner,
                        recover_directions)
 from qpipm.linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
+from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, QpProblem,
                          QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp)
 
 
@@ -431,7 +431,6 @@ class TestSolve:
         assert report.status is SolveStatus.CONVERGED
         assert len(calls) == 2 * report.iterations
         for prec, rhs, x0, op, result in calls:
-            assert prec.exact
             np.testing.assert_array_equal(x0, prec(rhs))
             assert result.converged and result.iterations == 0
             ref = dense_solve(assemble_dense(op), rhs)
@@ -442,13 +441,19 @@ class TestSolve:
         box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
                [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0]),
         # H < 0: T <= 0
-        box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0])],
-        ids=["singular_capacitance", "negative_diagonal"])
-    def test_jacobi_fallback_is_not_exact(self, problem):
+        box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0]),
+        # sparse and dense H: M is the system's diagonal, not the system
+        box_qp(SparseHessian(sp.csr_matrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                                            [0.0, -1.0, 2.0]])),
+               [1.0, -2.0, 0.5], [-1.0, 0.0, -np.inf], [1.0, np.inf, 0.2]),
+        box_qp(DenseHessian([[2.0, 0.5], [0.5, 1.0]]), [-3.0, 1.0],
+               [0.0, -np.inf], [1.0, np.inf])],
+        ids=["singular_capacitance", "negative_diagonal", "sparse", "dense"])
+    def test_box_only_solves_start_at_the_preconditioner_inverse(self, problem):
         _, calls = self._recording_solve(problem)
         assert calls
-        assert not any(prec.exact for prec, *_ in calls)
-        assert all(x0 is None for _, _, x0, _, _ in calls[::2])
+        for prec, rhs, x0, _, _ in calls:
+            np.testing.assert_array_equal(x0, prec(rhs))
 
     def test_iteration_limit_status(self):
         cfg = IpmConfig(max_iters=2)

@@ -200,8 +200,6 @@ class TestHessianDiagonal:
 class ScaledIdentity:
     """c I with only the members the solver may read from a Hessian."""
 
-    low_rank_exact = True
-
     def __init__(self, n, c):
         self.n, self.c = n, c
 

@@ -114,6 +114,17 @@ class TestSvmDataset:
         assert (len(data), data.n_features) == (2, 3)
         assert data.labels.dtype == np.float64
 
+    @pytest.mark.parametrize("labels, message", [
+        ([2.0, -3.0, 2.0, -3.0], r"^label 2\.0 of sample 0 is not \+1 or -1$"),
+        ([1.0, -1.0, np.nan, 1.0], r"^label nan of sample 2 "),
+        ([1.0, -1.0, 1.0], r"^labels of shape \(3,\) for 4 samples"),
+        ([[1.0, -1.0], [1.0, -1.0]], r"^labels of shape \(2, 2\) for 4 samples"),
+    ], ids=["not_plus_minus_one", "nan", "too_few", "not_1d"])
+    def test_labels_must_be_one_plus_or_minus_one_per_sample(self, labels, message):
+        samples = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(ValueError, match=message):
+            SvmDataset(samples, labels)
+
 
 class TestRbfKernel:
     def test_identical_points(self):
