@@ -246,16 +246,27 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="print one summary line per IPM iteration")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or, when
+    both exist, the same file under another path or a hard link."""
+    return (os.path.realpath(a) == os.path.realpath(b)
+            or os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
 def _check_outputs(args) -> None:
     """Open each output path for appending, so that an unwritable one is a
     ValueError before the solve instead of a traceback after it. A path that
     did not exist before the probe is removed again at once, so an output
     file exists only once ``_finish`` writes it; a file that already existed
-    is left as it is. The two paths must not name the same file."""
-    if (args.solution and args.trace
-            and os.path.realpath(args.solution) == os.path.realpath(args.trace)):
+    is left as it is. Before any probe, an output that is the input file, or
+    two outputs that are one file (``_same_file``), are a ValueError."""
+    outputs = (("--solution", args.solution), ("--trace", args.trace))
+    for flag, path in outputs:
+        if path and _same_file(path, args.file):
+            raise ValueError(f"{flag} names the input file")
+    if args.solution and args.trace and _same_file(args.solution, args.trace):
         raise ValueError("--solution and --trace name the same file")
-    for flag, path in (("--solution", args.solution), ("--trace", args.trace)):
+    for flag, path in outputs:
         if path:
             existed = os.path.lexists(path)
             try:

@@ -33,8 +33,8 @@ class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     ITERATION_LIMIT = "iteration_limit"
     LINEAR_SOLVER_FAILURE = "linear_solver_failure"
-    # a non-finite residual, right-hand side or direction, or a step that
-    # left the interior
+    # a non-finite residual or right-hand side, another floating-point error
+    # inside the iteration, or a step that left the interior
     NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -250,9 +250,10 @@ def solve(problem: QpProblem, cfg: IpmConfig | None = None,
     The solve converges by ``_converged``; the trace records the three
     measures of ``infeasibilities`` that it bounds. A failed PCG solve (see
     ``_newton_direction``) ends it as linear_solver_failure. A non-finite
-    residual, right-hand side or direction (numpy floating-point errors
-    raise inside the loop) or a step out of the interior ends it as
-    numerical_failure, with the last iterate whose residuals were finite.
+    residual or right-hand side, any other floating-point error (numpy's
+    overflow, division and invalid-operation errors raise inside the loop)
+    or a step out of the interior ends it as numerical_failure, with the
+    last iterate whose residuals were finite.
     The objective is inf or NaN when it overflows.
 
     direction_solver(op, rhs, pcg_cfg, prec, x0) is a hook for substituting

@@ -323,10 +323,6 @@ def recover_directions(op: KktOperator, dx: np.ndarray, d_lam_a: np.ndarray,
     ds_rows = -(r_c[:m] + s[:m] * d_lam_rows) / lam[:m]
     ds_var = bmap.var_sign * dx[bmap.var_idx] + res.r_p[m:]
     d_lam_var = -(r_c[m:] + lam[m:] * ds_var) / s[m:]
-    direction = FullDirection(dx=dx, d_lam_e=d_lam_a[:bmap.m_eq],
-                              ds=np.concatenate([ds_rows, ds_var]),
-                              d_lam=np.concatenate([d_lam_rows, d_lam_var]))
-    for block in direction.__dict__.values():
-        if not np.all(np.isfinite(block)):
-            raise FloatingPointError("non-finite direction component")
-    return direction
+    return FullDirection(dx=dx, d_lam_e=d_lam_a[:bmap.m_eq],
+                         ds=np.concatenate([ds_rows, ds_var]),
+                         d_lam=np.concatenate([d_lam_rows, d_lam_var]))

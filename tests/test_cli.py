@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -430,10 +431,13 @@ class TestSolveSvmCommand:
         data = tmp_path / "tiny.svm"
         data.write_text("+1 1:1\n-1 2:1\n")
         sol = str(tmp_path / "model.json")
+        trace = str(tmp_path / "trace.csv")
         code = main(["solve-svm", str(data), "--sigma", "1", "--c", "10",
-                     "--solution", sol])
+                     "--solution", sol, "--trace", trace])
         assert code == 0
         doc = json.load(open(sol))
+        records = read_trace(trace)  # raises unless the header is TRACE_HEADER
+        assert [r.iter for r in records] == list(range(1, doc["iterations"] + 1))
         alpha = np.array(doc["alpha"])
         assert abs(alpha[0] - alpha[1]) <= 1e-6  # alpha'y = 0 with y = (1, -1)
         assert "bias" in doc and "support_indices" in doc
@@ -833,6 +837,18 @@ def test_readme_common_flags_are_accepted_with_their_defaults():
                 assert float(default) == options[opt].default, opt
 
 
+def test_readme_commands_parse():
+    """Every `qpipm` line of README's bash blocks is a command the parser accepts."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("qpipm ")]
+    assert len(lines) >= 4
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "qpipm"
+        build_parser().parse_args(argv[1:])
+
+
 @pytest.mark.parametrize("command, flags", [
     ("solve-qp", ["--cg-maxit", "0"]),
     ("solve-qp", ["--cg-tol", "0"]),
@@ -856,12 +872,18 @@ def test_out_of_range_flag_is_input_error(command, flags, qp_path, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _command_input(command, qp_path, tmp_path):
+    """The input file and required flags of a small solve with ``command``."""
+    if command == "solve-qp":
+        return Path(qp_path), []
+    path = tmp_path / "tiny.svm"
+    path.write_text("+1 1:1\n-1 2:1\n")
+    return path, ["--sigma", "1", "--c", "1"]
+
+
 @pytest.mark.parametrize("command", ["solve-qp", "solve-svm"])
 def test_same_solution_and_trace_file_is_input_error(command, qp_path, tmp_path, capsys):
-    path, flags = qp_path, []
-    if command == "solve-svm":
-        path, flags = tmp_path / "tiny.svm", ["--sigma", "1", "--c", "1"]
-        path.write_text("+1 1:1\n-1 2:1\n")
+    path, flags = _command_input(command, qp_path, tmp_path)
     out = tmp_path / "out.json"
     assert main([command, str(path), *flags, "--solution", str(out),
                  "--trace", str(tmp_path / "." / "out.json")]) == 1
@@ -869,6 +891,34 @@ def test_same_solution_and_trace_file_is_input_error(command, qp_path, tmp_path,
     assert captured.err == "error: --solution and --trace name the same file\n"
     assert "status=" not in captured.out
     assert not out.exists()
+
+
+def test_hard_linked_solution_and_trace_are_input_error(qp_path, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    os.link(out, tmp_path / "link.csv")
+    assert main(["solve-qp", qp_path, "--solution", str(out),
+                 "--trace", str(tmp_path / "link.csv")]) == 1
+    assert capsys.readouterr().err == "error: --solution and --trace name the same file\n"
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("hard_link", [False, True], ids=["dot_path", "hard_link"])
+@pytest.mark.parametrize("flag", ["--solution", "--trace"])
+@pytest.mark.parametrize("command", ["solve-qp", "solve-svm"])
+def test_output_naming_the_input_file_is_input_error(command, flag, hard_link, qp_path,
+                                                     tmp_path, capsys):
+    path, flags = _command_input(command, qp_path, tmp_path)
+    before = path.read_bytes()
+    out = tmp_path / "." / path.name
+    if hard_link:
+        out = tmp_path / "link"
+        os.link(path, out)
+    assert main([command, str(path), *flags, flag, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} names the input file\n"
+    assert "status=" not in captured.out
+    assert path.read_bytes() == before
 
 
 class TestLayoutBuiltOnce:

@@ -275,13 +275,6 @@ class TestRecoverDirections:
         for block in d.__dict__.values():
             assert not np.any(block)
 
-    def test_non_finite_direction_raises(self):
-        problem, state = scalar_instance()
-        op = build_operator(problem, state)
-        res = compute_residuals(problem, state)
-        with pytest.raises(FloatingPointError, match="non-finite direction component"):
-            recover_directions(op, np.zeros(1), np.zeros(1), res, np.array([np.inf]))
-
     def test_single_lower_var_bound_full_residual(self):
         problem = box_qp(DiagonalHessian([2.0]), [-1.0], [0.5], [np.inf])
         state = make_state([1.5], 0.2, s_lx=[0.7], lam_lx=[0.4])
