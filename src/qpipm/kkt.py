@@ -91,8 +91,9 @@ def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
     bmap = problem.layout
     x, m = state.x, bmap.m_rows
     bx = bmap.b @ x
-    r_H = hessian_apply(problem.hessian, x) + problem.p \
-        - bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
+    r_H = hessian_apply(problem.hessian, x) + problem.p
+    if bmap.b.shape[0]:
+        r_H -= bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
     r_H -= bmap.scatter_var(bmap.var_sign * state.lam[m:])
     res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b,
                     r_p=bmap.g(x, bx) - state.s - bmap.g0)
@@ -161,8 +162,11 @@ def apply_doubly_augmented(op: KktOperator, v: np.ndarray) -> np.ndarray:
 
     Uses exactly one B product and one B' product:
     t = B u; top = Q u + B'(2 D^{-1} t + w); bottom = t + D w.
+    When B is empty (m = 0) it is Q u, with neither.
     """
     u, w = op.split(np.asarray(v, dtype=np.float64))
+    if op.m == 0:
+        return op.apply_q(u)
     t = op.apply_b(u)
     top = op.apply_q(u) + op.apply_bt(2.0 * t / op.d_diag + w)
     bottom = t + op.d_diag * w
@@ -210,12 +214,14 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()
     t = d + op.q_diag_extra
-    inv_d = 1.0 / op.d_diag
-    kept = _dominant_rows(layout.b, t, inv_d)
-    inv_d[kept] = 0.0
-    # the folded rows' terms added directly: subtracting the kept rows'
-    # terms from jacobi_diagonal would cancel
-    t += 2.0 * (layout.bt_sq @ inv_d)
+    kept = np.zeros(0, dtype=np.intp)
+    if op.m:
+        inv_d = 1.0 / op.d_diag
+        kept = _dominant_rows(layout.b, t, inv_d)
+        inv_d[kept] = 0.0
+        # the folded rows' terms added directly: subtracting the kept rows'
+        # terms from jacobi_diagonal would cancel
+        t += 2.0 * (layout.bt_sq @ inv_d)
     if np.all(t > 0):
         try:
             return _woodbury_inverse(u, w, op.problem.low_rank_gram(t),
@@ -299,10 +305,11 @@ def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray) -> np.ndarray
     bmap = op.problem.layout
     m = bmap.m_rows
     lam, s = op.state.lam, op.state.s
-    r1 = -res.r_H - bmap.scatter_var(
+    rhs = -res.r_H - bmap.scatter_var(
         bmap.var_sign * (r_c[m:] / s[m:] + op.bound_ratio * res.r_p[m:]))
-    r2 = np.concatenate([-res.r_e, -res.r_p[:m] - r_c[:m] / lam[:m]])
-    rhs = np.concatenate([r1 + op.apply_bt(2.0 * r2 / op.d_diag), r2])
+    if op.m:  # otherwise rhs is r1 alone
+        r2 = np.concatenate([-res.r_e, -res.r_p[:m] - r_c[:m] / lam[:m]])
+        rhs = np.concatenate([rhs + op.apply_bt(2.0 * r2 / op.d_diag), r2])
     if not np.all(np.isfinite(rhs)):
         raise FloatingPointError("non-finite right-hand side")
     return rhs

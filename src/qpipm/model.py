@@ -141,7 +141,7 @@ class SparseHessian:
 
 @dataclass(frozen=True)
 class DenseHessian:
-    """Explicit C-contiguous storage; used by the SVM frontend and test oracles.
+    """Explicit C-contiguous storage, for library users and test oracles.
 
     ``m`` must be symmetric (``validate_problem`` checks it): the product
     reads one triangle with BLAS ``symv``.

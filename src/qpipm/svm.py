@@ -12,14 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Bounds, DenseHessian, QpProblem, _canonical_csr, hessian_apply
+from .model import Bounds, QpProblem, _canonical_csr, _no_update, hessian_apply
 
 MAX_PRECOMPUTED_SAMPLES = 20000
 # Entries per row block of the kernel build (rows = this // n). At n = 4000
-# (one BLAS thread, 2 MiB L2 per core, median of 15 builds) 2^16 entries (16
-# rows) took 203 ms, 2^18 (65 rows) 162 ms, 2^19 (131 rows) 149 ms and 2^20
-# (262 rows) 144 ms, the last two within the spread; fewer rows compute less
-# of the diagonal blocks' lower halves, which are overwritten.
+# (one BLAS thread on a 2-vCPU Xeon, 2 MiB L2 per core, median of 15 builds)
+# 2^16 entries (16 rows) took 136 ms, 2^18 (65 rows) 104 ms, 2^19 (131 rows)
+# 106 ms, 2^20 (262 rows) 100 ms and 2^21 (524 rows) 99 ms, the last four
+# within their quartile spread of about 10 ms; fewer rows compute less of the
+# diagonal blocks' lower halves, which no code reads.
 _KERNEL_BLOCK = 1 << 19
 
 
@@ -40,7 +41,7 @@ class SvmDataset:
 
     samples: sp.csr_matrix
     labels: np.ndarray
-    # (sigma, DenseHessian): the dual Hessian of the last sigma, see _signed_kernel
+    # (sigma, SignedKernel): the dual Hessian of the last sigma, see _signed_kernel
     _kernel: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -146,22 +147,56 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
     return SvmDataset(sp.csr_matrix((values, indices, indptr), shape=shape), np.array(labels))
 
 
-def _signed_kernel(data: SvmDataset, sigma: float) -> DenseHessian:
-    """Dual Hessian H = yy'∘K, RBF kernel: read-only, exactly symmetric, unit diagonal.
+@dataclass(frozen=True)
+class SignedKernel:
+    """Dual Hessian H = yy'∘K of the RBF kernel K: ``k`` holds K in its upper
+    triangle (n-by-n, unit diagonal), ``y`` the ±1 labels, both read-only.
 
-    Only the upper triangle is computed, in row blocks, each from one
+    No code reads k's strict lower triangle, which the build leaves
+    uninitialized: the product H v = y∘(K (y∘v)) reads the upper triangle
+    with BLAS ``symv``. K's entries lie in [0, 1] by construction (the
+    build rejects a non-finite ||x||²), so ``validate`` reports nothing.
+    """
+
+    k: np.ndarray
+    y: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.y)
+
+    def apply(self, v):
+        # imported here, as in DenseHessian.apply: scipy.linalg adds ~8 MB
+        from scipy.linalg.blas import dsymv
+
+        # k.T is the Fortran-order view f2py passes without copying k;
+        # lower=1 reads its lower triangle, i.e. k's upper triangle
+        return self.y * dsymv(1.0, self.k.T, self.y * v, lower=1)
+
+    def low_rank(self):
+        return _no_update(np.ones(self.n))
+
+    def validate(self):
+        return []
+
+    def to_json(self):
+        raise ValueError("dense Hessians have no file representation")
+
+
+def _signed_kernel(data: SvmDataset, sigma: float) -> SignedKernel:
+    """Dual Hessian H = yy'∘K, RBF kernel K, as a ``SignedKernel``.
+
+    Only K's upper triangle is computed, in row blocks, each from one
     product ``X1[lo:hi] @ X2[lo:].T`` with X1 = [x, -||x||²/2, 1] and
-    X2 = [x, 1, -||x||²/2], whose entries are -d²_ij/2; the strict upper
-    part is then mirrored below the diagonal. H is the only n-by-n array;
-    the one ``DenseHessian`` holding it is cached on ``data`` for this
-    sigma, and another sigma replaces the cached entry. Raises ValueError,
-    before H exists, if a sample's ||x||² is not finite.
+    X2 = [x, 1, -||x||²/2], whose entries are -d²_ij/2. K is the only
+    n-by-n array; the one ``SignedKernel`` holding it is cached on ``data``
+    for this sigma, and another sigma replaces the cached entry. Raises
+    ValueError, before K exists, if a sample's ||x||² is not finite.
     """
     if data._kernel is not None and data._kernel[0] == sigma:
         return data._kernel[1]
-    object.__setattr__(data, "_kernel", None)  # free the old H before building
+    object.__setattr__(data, "_kernel", None)  # free the old K before building
     x = data.samples.toarray()
-    y = data.labels
     sq = np.einsum("ij,ij->i", x, x)  # no temporary; an overflow is inf without a warning
     bad = np.flatnonzero(~np.isfinite(sq))
     if len(bad):
@@ -170,26 +205,21 @@ def _signed_kernel(data: SvmDataset, sigma: float) -> DenseHessian:
     half, ones = -0.5 * sq[:, None], np.ones((n, 1))
     x1 = np.hstack([x, half, ones])
     x2 = np.hstack([x, ones, half])
-    h = np.empty((n, n))
+    k = np.empty((n, n))
     rows = max(1, _KERNEL_BLOCK // max(n, 1))
     # -d²/(2σ) below the float range is -inf, whose exp is the kernel's 0
     with np.errstate(over="ignore"):
         for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            blk = h[lo:hi, lo:]
-            np.matmul(x1[lo:hi], x2[lo:].T, out=blk)
+            blk = k[lo:lo + rows, lo:]
+            np.matmul(x1[lo:lo + rows], x2[lo:].T, out=blk)
             np.minimum(blk, 0.0, out=blk)
             blk /= sigma  # after the cancellation: a tiny sigma gives -large, not NaN
             # K(x, x) = 1 exactly; ||x||² and the product round differently
             np.fill_diagonal(blk, 0.0)
             np.exp(blk, out=blk)
-            blk *= y[lo:hi, None]
-            blk *= y[lo:]
-            h[hi:, lo:hi] = blk[:, hi - lo:].T
-            for k in range(lo + 1, hi):
-                h[k, lo:k] = h[lo:k, k]
-    h.flags.writeable = False
-    object.__setattr__(data, "_kernel", (sigma, DenseHessian(h)))
+    y = data.labels.copy()
+    k.flags.writeable = y.flags.writeable = False
+    object.__setattr__(data, "_kernel", (sigma, SignedKernel(k, y)))
     return data._kernel[1]
 
 

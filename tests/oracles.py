@@ -165,6 +165,12 @@ def dense_hessian(h) -> np.ndarray:
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
 
 
+def signed_kernel_matrix(h) -> np.ndarray:
+    """Dense H = yy'∘K of an ``svm.SignedKernel``, K rebuilt symmetric from
+    the upper triangle of ``h.k``, the only part the class reads."""
+    return np.outer(h.y, h.y) * (np.triu(h.k) + np.triu(h.k, 1).T)
+
+
 def sparse_dot(x: sp.csr_matrix, y: sp.csr_matrix) -> float:
     """Dot product of two one-row canonical CSR matrices (any widths), by
     merged iteration over the two index lists."""

@@ -331,6 +331,10 @@ class _CountingProducts:
     def __init__(self, matrix):
         self.matrix, self.products = matrix, 0
 
+    @property
+    def shape(self):
+        return self.matrix.shape
+
     def __getitem__(self, key):
         return self.matrix[key]
 
@@ -521,6 +525,31 @@ class TestPreconditioner:
         report = solve(box_qp(hessian, rng.standard_normal(n), lo, hi))
         assert report.status is SolveStatus.CONVERGED
         assert max(t.cg_iters for t in report.trace) == 0
+
+    def test_empty_b_makes_no_b_prime_product(self, rng):
+        """With no rows in B the operator, right-hand side, preconditioner and
+        residuals skip B' and its square, and the operator skips B too."""
+        n, k = 40, 3
+        hessian = QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
+                                     0.3 * rng.standard_normal((n, k)),
+                                     rng.uniform(0.1, 1.0, k))
+        problem = box_qp(hessian, rng.standard_normal(n), np.full(n, -1.0), np.full(n, 1.0))
+        layout = problem.layout
+        b, bt, bt_sq = (_CountingProducts(m) for m in (layout.b, layout.bt, layout.bt_sq))
+        problem.__dict__["layout"] = replace(layout, bt=bt, bt_sq=bt_sq)  # cached_property slot
+        report = solve(problem)
+        assert report.status is SolveStatus.CONVERGED
+        assert bt.products == bt_sq.products == 0
+
+        v = rng.standard_normal(n)
+        problem.__dict__["layout"] = layout
+        expected = assemble_dense(build_operator(problem, report.state)) @ v
+        problem.__dict__["layout"] = replace(layout, b=b)
+        op = build_operator(problem, report.state)
+        assert op.m == 0
+        np.testing.assert_allclose(apply_doubly_augmented(op, v), expected,
+                                   rtol=1e-12, atol=1e-12)
+        assert b.products == 0
 
     def test_build_does_not_allocate_an_n_by_k_temporary(self):
         n, k = 200_000, 20

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import rbf_kernel, sparse_to_dense
+from oracles import rbf_kernel, signed_kernel_matrix, sparse_to_dense
 from qpipm import svm
 from qpipm.ipm import SolveStatus, solve
-from qpipm.model import DenseHessian, validate_problem
+from qpipm.model import validate_problem
 from qpipm.svm import (DegenerateModelError, SvmConfig, SvmDataset, SvmModel,
                        SvmParseError, build_svm_dual, extract_model,
                        parse_libsvm, predict, training_accuracy)
@@ -161,7 +161,7 @@ class TestBuildSvmDual:
         assert p.m_eq == 1
         np.testing.assert_array_equal(sparse_to_dense(p.c), [[1.0, -1.0]])
         np.testing.assert_array_equal(p.p, [-1.0, -1.0])
-        h = p.hessian.m
+        h = signed_kernel_matrix(p.hessian)
         assert h[0, 0] == 1.0
         assert h[0, 1] == pytest.approx(-math.exp(-1.0))
         np.testing.assert_array_equal(p.var_bounds.lower, [0.0, 0.0])
@@ -177,20 +177,28 @@ class TestBuildSvmDual:
         lines.append("+1 1:9")  # ensure both classes present
         lines.append("-1 1:-9")
         data = parse_libsvm("\n".join(lines))
-        p = build_svm_dual(data, SvmConfig(sigma=0.8, c=2.0))
-        h = p.hessian.m
-        assert np.array_equal(h, h.T)
+        sigma = 0.8
+        kernel = build_svm_dual(data, SvmConfig(sigma=sigma, c=2.0)).hessian
+        # the product with e_j is column j of the operator, without rounding
+        cols = np.column_stack([kernel.apply(e) for e in np.eye(len(data))])
+        assert np.array_equal(cols, cols.T)
+        h = signed_kernel_matrix(kernel)
+        assert np.array_equal(cols, h)
+        y = data.labels
+        expected = [[y[i] * y[j] * rbf_kernel(data.samples[i], data.samples[j], sigma)
+                     for j in range(len(data))] for i in range(len(data))]
+        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
 
     def test_hessian_matches_pairwise_kernel(self, rng):
         data = parse_libsvm("+1 1:0.5 2:1\n-1 2:2\n+1 3:1\n-1 1:1 3:0.5")
         cfg = SvmConfig(sigma=1.5, c=1.0)
-        p = build_svm_dual(data, cfg)
+        h = signed_kernel_matrix(build_svm_dual(data, cfg).hessian)
         y = data.labels
         for i in range(4):
             for j in range(4):
                 expected = y[i] * y[j] * rbf_kernel(
                     data.samples[i], data.samples[j], cfg.sigma)
-                assert p.hessian.m[i, j] == pytest.approx(expected, rel=1e-12)
+                assert h[i, j] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n, block", [(7, None), (23, 4 * 23), (40, 40)],
                              ids=["one-block", "partial-last-block", "one-row-blocks"])
@@ -207,8 +215,11 @@ class TestBuildSvmDual:
             for _ in range(n - 5)]
         lines += lines[-3:]
         data = parse_libsvm("\n".join(lines))
-        h = build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian.m
-        assert np.array_equal(h, h.T)
+        kernel = build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian
+        h = signed_kernel_matrix(kernel)
+        # rtol 1e-12 of each entry's |H||v|, the scale of its rounding
+        v = rng.standard_normal(n)
+        assert np.all(np.abs(kernel.apply(v) - h @ v) <= 1e-12 * (np.abs(h) @ np.abs(v)))
         assert np.all(np.diag(h) == 1.0)
         assert np.all(np.abs(h) <= 1.0)
         y = data.labels
@@ -226,7 +237,7 @@ class TestBuildSvmDual:
         data = parse_libsvm("\n".join(lines))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h = build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian.m
+            h = signed_kernel_matrix(build_svm_dual(data, SvmConfig(sigma=sigma, c=1.0)).hessian)
         assert np.all(np.diag(h) == 1.0)
         if sigma == 1e-300:
             assert np.array_equal(h, np.eye(200))
@@ -257,10 +268,10 @@ class TestBuildSvmDual:
         data = parse_libsvm("\n".join(
             f"{'+1' if i % 2 else '-1'} 1:{rng.standard_normal():.4f} "
             f"2:{rng.standard_normal():.4f}" for i in range(10)))
-        p = build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0))
+        h = signed_kernel_matrix(build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0)).hessian)
         for _ in range(50):
             v = rng.standard_normal(10)
-            assert v @ (p.hessian.m @ v) >= -1e-8 * (v @ v)
+            assert v @ (h @ v) >= -1e-8 * (v @ v)
 
     def test_more_samples_than_the_cap_are_rejected_before_the_kernel(self, monkeypatch):
         n = svm.MAX_PRECOMPUTED_SAMPLES + 1
@@ -303,7 +314,7 @@ class TestTrainAndPredict:
         assert predict(model, midpoint)[0] == pytest.approx(0.0, abs=1e-4)
         # the trained bias is only near 0, so the tie is built exactly: equal
         # weights on the two support vectors and bias 0 give the score 0.0
-        h = build_svm_dual(data, cfg).hessian.m
+        h = signed_kernel_matrix(build_svm_dual(data, cfg).hessian)
         for a in (0.3, 1.0, 7.77):
             alpha = np.array([a, a])
             tied = SvmModel(alpha=alpha, bias=0.0, support_indices=np.array([0, 1]),
@@ -430,7 +441,7 @@ class TestKernelReuse:
         assert len(builds) == 1
 
         other = SvmConfig(sigma=2.0, c=2.0)
-        h = build_svm_dual(data, other).hessian.m
+        h = signed_kernel_matrix(build_svm_dual(data, other).hessian)
         assert len(builds) == 2
         y = data.labels
         assert h[0, 1] == pytest.approx(
@@ -440,7 +451,7 @@ class TestKernelReuse:
         data = self.dataset(rng)
         cfg = SvmConfig(sigma=1.0, c=2.0)
         h = build_svm_dual(data, cfg).hessian
-        assert isinstance(h, DenseHessian)
+        assert isinstance(h, svm.SignedKernel)
         assert build_svm_dual(data, SvmConfig(sigma=1.0, c=5.0)).hessian is h
         assert data._kernel[0] == 1.0 and data._kernel[1] is h
 
@@ -452,13 +463,13 @@ class TestKernelReuse:
         cfg = SvmConfig(sigma=1.0, c=2.0)
         report = solve(build_svm_dual(data, cfg))
         products = []
-        apply = DenseHessian.apply
+        apply = svm.SignedKernel.apply
 
         def counting(self, v):
             products.append(self)
             return apply(self, v)
 
-        monkeypatch.setattr(DenseHessian, "apply", counting)
+        monkeypatch.setattr(svm.SignedKernel, "apply", counting)
         model = extract_model(data, cfg, report.x)
         assert len(products) == 1 and products[0] is data._kernel[1]
         y = data.labels
@@ -476,7 +487,41 @@ class TestKernelReuse:
         assert accuracy == np.mean(labels == y)
 
     def test_cached_kernel_is_read_only(self, rng):
-        h = build_svm_dual(self.dataset(rng), SvmConfig(sigma=1.0, c=1.0)).hessian.m
-        assert not h.flags.writeable
+        data = self.dataset(rng)
+        kernel = build_svm_dual(data, SvmConfig(sigma=1.0, c=1.0)).hessian
+        assert not kernel.k.flags.writeable
         with pytest.raises(ValueError):
-            h[0, 0] = 0.0
+            kernel.k[0, 0] = 0.0
+        # the labels are the kernel's own copy: changing the dataset's later
+        # leaves H as built
+        assert not kernel.y.flags.writeable and kernel.y is not data.labels
+        with pytest.raises(ValueError):
+            kernel.y[0] = -kernel.y[0]
+
+    def test_nothing_reads_below_the_diagonal(self, rng):
+        """A NaN read inside solve() raises; here the lower triangle is all
+        NaN and every result equals the unpoisoned kernel's bit for bit."""
+        data = self.dataset(rng)
+        cfg = SvmConfig(sigma=1.0, c=2.0)
+        report = solve(build_svm_dual(data, cfg))
+        model = extract_model(data, cfg, report.x)
+        accuracy = training_accuracy(model)
+
+        kernel = data._kernel[1]
+        k = np.array(kernel.k)
+        k[np.tril_indices(len(k), -1)] = np.nan
+        poisoned = svm.SignedKernel(k, kernel.y)
+        object.__setattr__(data, "_kernel", (cfg.sigma, poisoned))
+        problem = build_svm_dual(data, cfg)
+        assert problem.hessian is poisoned
+        again = solve(problem)
+        assert again.status is SolveStatus.CONVERGED
+        assert again.iterations == report.iterations
+        for name in ("x", "lam", "lam_e", "s"):
+            assert np.array_equal(getattr(again.state, name), getattr(report.state, name)), name
+        remodel = extract_model(data, cfg, again.x)
+        assert data._kernel[1] is poisoned
+        assert np.array_equal(remodel.decision_values, model.decision_values)
+        assert remodel.bias == model.bias
+        assert np.array_equal(remodel.support_indices, model.support_indices)
+        assert training_accuracy(remodel) == accuracy
