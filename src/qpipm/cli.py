@@ -201,7 +201,8 @@ def _finite_or_null(values) -> list:
 
 def qp_document(problem: QpProblem) -> dict:
     """Serialize a problem back to the QP file dialect (round-trip safe);
-    a Hessian without a file representation (dense) raises ValueError."""
+    the SVM dual's ``svm.SignedKernel``, the only Hessian without a file
+    representation, raises ValueError."""
     lin, var = problem.lin_bounds, problem.var_bounds
     return {
         "n": problem.n, "hessian": problem.hessian.to_json(), "p": problem.p.tolist(),
@@ -230,15 +231,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mu-tol", type=float, default=1e-6,
+    defaults = IpmConfig()
+    p.add_argument("--mu-tol", type=float, default=defaults.mu_tol,
                    help="tolerance of the scaled primal, dual and complementarity "
                         "stopping test (default: %(default)s)")
-    p.add_argument("--cg-tol", type=float, default=1e-7,
+    p.add_argument("--cg-tol", type=float, default=defaults.pcg.tol,
                    help="CG residual tolerance in (0, 1), relative to the "
                         "right-hand side (default: %(default)s)")
-    p.add_argument("--cg-maxit", type=int, default=5000,
+    p.add_argument("--cg-maxit", type=int, default=defaults.pcg.max_iters,
                    help="CG iteration cap (default: %(default)s)")
-    p.add_argument("--max-iter", type=int, default=200,
+    p.add_argument("--max-iter", type=int, default=defaults.max_iters,
                    help="IPM iteration cap (default: %(default)s)")
     p.add_argument("--trace", metavar="PATH", help="write per-iteration trace CSV")
     p.add_argument("--solution", metavar="PATH", help="write solution document")

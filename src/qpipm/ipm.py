@@ -104,7 +104,7 @@ def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
 
     bmap = problem.layout
     with np.errstate(over="ignore"):
-        gap = bmap.g(x, bmap.b @ x) - bmap.g0
+        gap = bmap.g(x, bmap.b @ x if bmap.m else np.zeros(0)) - bmap.g0
     s, lam = np.maximum(1.0, np.abs(gap)), np.ones(len(gap))
     return IterateState(x=x, lam_e=np.zeros(problem.m_eq), s=s, lam=lam,
                         mu=_barrier_mu(s, lam, cfg.mu_tol), splits=bmap.splits)

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import BoundIndexMap, QpProblem, hessian_apply, hessian_diagonal
+from .model import (BoundIndexMap, QpProblem, _positive_inverse, hessian_apply,
+                    hessian_diagonal)
 
 
 def _multiplier_view(family: int) -> property:
@@ -71,9 +72,6 @@ class Residuals:
     r_e: np.ndarray
     r_p: np.ndarray
 
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.r_H, self.r_e, self.r_p])
-
 
 @dataclass(frozen=True)
 class FullDirection:
@@ -90,14 +88,15 @@ def compute_residuals(problem: QpProblem, state: IterateState) -> Residuals:
     (``build_operator``) only, so the stopping test bounds C x - b."""
     bmap = problem.layout
     x, m = state.x, bmap.m_rows
-    bx = bmap.b @ x
     r_H = hessian_apply(problem.hessian, x) + problem.p
-    if bmap.b.shape[0]:
+    bx = np.zeros(0)
+    if bmap.m:  # otherwise B and B' make no product
+        bx = bmap.b @ x
         r_H -= bmap.bt @ np.concatenate([state.lam_e, state.lam[:m]])
     r_H -= bmap.scatter_var(bmap.var_sign * state.lam[m:])
     res = Residuals(r_H=r_H, r_e=bx[:bmap.m_eq] - problem.b,
                     r_p=bmap.g(x, bx) - state.s - bmap.g0)
-    if not np.all(np.isfinite(res.concatenated())):
+    if not all(np.all(np.isfinite(block)) for block in (res.r_H, res.r_e, res.r_p)):
         raise FloatingPointError("non-finite residual encountered")
     return res
 
@@ -126,7 +125,7 @@ class KktOperator:
 
     @property
     def m(self) -> int:
-        return len(self.d_diag)
+        return self.problem.layout.m
 
     @property
     def dim(self) -> int:
@@ -236,7 +235,7 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
     """Sorted indices of the rows i of b with 2 inv_d_i max_j b_ij^2 / t0_j > 1,
     the ``_MAX_KEPT_ROWS`` largest if more. Columns with t0_j <= 0 are skipped."""
-    inv_t0 = np.divide(1.0, t0, out=np.zeros_like(t0), where=t0 > 0)
+    inv_t0 = _positive_inverse(t0)
     weighted = b.copy()
     # entries are >= 0: implicit zeros leave a row's maximum, an empty row's is 0
     weighted.data = b.data * b.data * inv_t0[b.indices]

@@ -1,10 +1,10 @@
 """Problem representation: sparse matrices, Hessian variants, bounds, QP instances.
 
 ``QpProblem.a``, ``QpProblem.c`` and ``SparseHessian.m`` take any scipy
-sparse matrix and hold a ``scipy.sparse.csr_matrix`` copy in canonical form
-(float64, index arrays fully checked, duplicates summed, column indices
-sorted), built once on construction; the solver reads them only through
-products and the stored entries.
+sparse matrix or dense array and hold a ``scipy.sparse.csr_matrix`` copy in
+canonical form (float64, index arrays fully checked, duplicates summed,
+column indices sorted), built once on construction; the solver reads them
+only through products and the stored entries.
 
 Every Hessian class implements the only members the solver reads (no code
 outside the classes looks at a Hessian's type): ``n``; ``apply(v)``, the
@@ -30,8 +30,9 @@ class DimensionError(ValueError):
 
 
 def _canonical_csr(m) -> sp.csr_matrix:
-    """A float64 CSR copy of the scipy sparse matrix ``m`` (left unmodified),
-    its index arrays fully checked, duplicates summed and indices sorted."""
+    """A float64 CSR copy of the scipy sparse matrix or dense array ``m``
+    (left unmodified), its index arrays fully checked, duplicates summed and
+    indices sorted."""
     out = sp.csr_matrix(m, dtype=np.float64, copy=True)
     # the constructor alone accepts column indices >= the column count
     out.check_format(full_check=True)
@@ -71,18 +72,6 @@ def _finite_report(name: str, arr) -> list[str]:
     return _nan_report(name, arr) or [f"non-finite data (inf) in {name}"]
 
 
-def _matrix_report(m, entries) -> list[str]:
-    """Violations of a dense or scipy sparse Hessian matrix ``m`` whose
-    stored entries are ``entries``."""
-    report = _finite_report("hessian", entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        report.append(f"hessian is not square: shape {m.shape}")
-    elif (not report and entries.size  # m - m.T is NaN where m holds inf
-          and abs(m - m.T).max() > 1e-10 * np.max(np.abs(entries))):
-        report.append("hessian is not symmetric")
-    return report
-
-
 def _no_update(d: np.ndarray):
     """low_rank() of a Hessian without a low-rank term: (d, n-by-0 U, no weights)."""
     return d, np.zeros((len(d), 0)), np.zeros(0)
@@ -114,8 +103,8 @@ class DiagonalHessian:
 
 @dataclass(frozen=True)
 class SparseHessian:
-    """Symmetric sparse Hessian: ``m`` is a canonical CSR copy of the scipy
-    sparse matrix given, both triangles stored."""
+    """Symmetric Hessian: ``m`` is a canonical CSR copy of the scipy sparse
+    matrix or dense array given, both triangles stored."""
 
     m: sp.csr_matrix
 
@@ -133,46 +122,17 @@ class SparseHessian:
         return _no_update(self.m.diagonal())
 
     def validate(self):
-        return _matrix_report(self.m, self.m.data)
+        m = self.m
+        report = _finite_report("hessian", m.data)
+        if m.shape[0] != m.shape[1]:
+            report.append(f"hessian is not square: shape {m.shape}")
+        elif (not report and m.data.size  # m - m.T is NaN where m holds inf
+              and abs(m - m.T).max() > 1e-10 * np.max(np.abs(m.data))):
+            report.append("hessian is not symmetric")
+        return report
 
     def to_json(self):
         return {"kind": "coo", **coo_json(self.m)}
-
-
-@dataclass(frozen=True)
-class DenseHessian:
-    """Explicit C-contiguous storage, for library users and test oracles.
-
-    ``m`` must be symmetric (``validate_problem`` checks it): the product
-    reads one triangle with BLAS ``symv``.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", np.ascontiguousarray(self.m, dtype=np.float64))
-
-    @property
-    def n(self):
-        return self.m.shape[0]
-
-    def apply(self, v):
-        # imported here: scipy.linalg adds ~8 MB of resident memory to
-        # processes that never build a dense Hessian
-        from scipy.linalg.blas import dsymv
-
-        # m.T is the Fortran-order view f2py passes without copying m;
-        # lower=1 reads its lower triangle, i.e. m's upper triangle
-        return dsymv(1.0, self.m.T, v, lower=1)
-
-    def low_rank(self):
-        return _no_update(np.diag(self.m))
-
-    def validate(self):
-        return _matrix_report(self.m, self.m)
-
-    def to_json(self):
-        raise ValueError("dense Hessians have no file representation")
 
 
 @dataclass(frozen=True)
@@ -388,6 +348,11 @@ class BoundIndexMap:
     @property
     def m_rows(self) -> int:
         return self.splits[1]
+
+    @property
+    def m(self) -> int:
+        """The rows of B, m_eq + m_rows."""
+        return self.m_eq + self.m_rows
 
     def g(self, x: np.ndarray, bx: np.ndarray) -> np.ndarray:
         """The stacked inequality values g(x), given bx = b @ x."""

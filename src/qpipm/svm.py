@@ -166,7 +166,8 @@ class SignedKernel:
         return len(self.y)
 
     def apply(self, v):
-        # imported here, as in DenseHessian.apply: scipy.linalg adds ~8 MB
+        # the package's one scipy.linalg import, made here: it adds ~8 MB of
+        # resident memory to processes that never solve an SVM dual
         from scipy.linalg.blas import dsymv
 
         # k.T is the Fortran-order view f2py passes without copying k;

@@ -12,9 +12,8 @@ import scipy.sparse as sp
 
 from qpipm.kkt import FullDirection, IterateState, KktOperator
 from qpipm.linalg import PcgBreakdownError, PcgResult
-from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, DimensionError,
-                         QpProblem, QuasiNewtonHessian, SparseHessian,
-                         SparseMatrix)
+from qpipm.model import (Bounds, DiagonalHessian, DimensionError, QpProblem,
+                         QuasiNewtonHessian, SparseHessian, SparseMatrix)
 
 
 def spmv(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -160,8 +159,6 @@ def dense_hessian(h) -> np.ndarray:
         return np.diag(h.d)
     if isinstance(h, SparseHessian):
         return sparse_to_dense(h.m)
-    if isinstance(h, DenseHessian):
-        return np.array(h.m)
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
 
 
@@ -460,9 +457,9 @@ def random_hessian(rng, n, kind=None):
         dense = 0.5 * (dense + dense.T)
         np.fill_diagonal(dense, np.abs(np.diag(dense)) + 0.2)
         return SparseHessian(sparse_from_dense(dense))
-    if kind == "dense":
+    if kind == "dense":  # every entry stored
         g = rng.standard_normal((n, n))
-        return DenseHessian(g @ g.T / n + 0.2 * np.eye(n))
+        return SparseHessian(g @ g.T / n + 0.2 * np.eye(n))
     k = int(rng.integers(1, max(2, n // 2 + 1)))
     return QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
                               rng.standard_normal((n, k)),

@@ -16,9 +16,9 @@ import pytest
 
 from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
 from qpipm import svm
-from qpipm.cli import (TRACE_HEADER, QpFileError, _report_summary,
-                       build_parser, load_qp_file, main, parse_qp_document,
-                       qp_document, write_trace)
+from qpipm.cli import (TRACE_HEADER, QpFileError, _ipm_config,
+                       _report_summary, build_parser, load_qp_file, main,
+                       parse_qp_document, qp_document, write_trace)
 from qpipm.ipm import IpmConfig, SolveStatus, TraceRecord, solve
 from qpipm.linalg import PcgConfig
 from qpipm.model import (BoundIndexMap, DiagonalHessian, QuasiNewtonHessian,
@@ -148,6 +148,7 @@ class TestQpFile:
         from qpipm.model import Bounds, QpProblem
         for hess in (DiagonalHessian(rng.uniform(1, 2, n)),
                      SparseHessian(sparse_from_dense(dense)),
+                     SparseHessian(dense),  # written as "coo" too
                      QuasiNewtonHessian(rng.uniform(1, 2, n),
                                         rng.standard_normal((n, 2)),
                                         rng.uniform(0.1, 1, 2))):
@@ -790,6 +791,12 @@ class TestFlagDefaults:
                               ("--cg-maxit", "5000")):
             assert flag in out
             assert default in out
+
+    @pytest.mark.parametrize("argv", [["solve-qp", "x.json"],
+                                      ["solve-svm", "x.svm", "--sigma", "1", "--c", "1"]],
+                             ids=["solve-qp", "solve-svm"])
+    def test_no_solver_flags_give_the_default_config(self, argv):
+        assert _ipm_config(build_parser().parse_args(argv)) == IpmConfig()
 
 
 @pytest.mark.parametrize("flags", [["--mu-init", "1"], ["--cg-tol-absolute"],

@@ -17,8 +17,8 @@ from qpipm.kkt import (FullDirection, Residuals, apply_doubly_augmented,
                        build_operator, compute_residuals, preconditioner,
                        recover_directions)
 from qpipm.linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
-from qpipm.model import (Bounds, DenseHessian, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseHessian, SparseMatrix, box_qp)
+from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
+                         SparseHessian, SparseMatrix, box_qp)
 
 
 def equality_problem():
@@ -442,11 +442,12 @@ class TestSolve:
                [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0]),
         # H < 0: T <= 0
         box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0]),
-        # sparse and dense H: M is the system's diagonal, not the system
+        # H from a sparse matrix and from a dense array: M is the system's
+        # diagonal, not the system
         box_qp(SparseHessian(sp.csr_matrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
                                             [0.0, -1.0, 2.0]])),
                [1.0, -2.0, 0.5], [-1.0, 0.0, -np.inf], [1.0, np.inf, 0.2]),
-        box_qp(DenseHessian([[2.0, 0.5], [0.5, 1.0]]), [-3.0, 1.0],
+        box_qp(SparseHessian(np.array([[2.0, 0.5], [0.5, 1.0]])), [-3.0, 1.0],
                [0.0, -np.inf], [1.0, np.inf])],
         ids=["singular_capacitance", "negative_diagonal", "sparse", "dense"])
     def test_box_only_solves_start_at_the_preconditioner_inverse(self, problem):

@@ -71,7 +71,7 @@ class TestComputeResiduals:
         problem = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
         state = make_state([x], mu, s_lx=[x - 1.0], lam_lx=[x])
         res = compute_residuals(problem, state)
-        assert np.linalg.norm(res.concatenated()) < 1e-12
+        assert np.linalg.norm(np.concatenate([res.r_H, res.r_e, res.r_p])) < 1e-12
 
     def test_matches_dense_transcription(self, rng):
         for problem, state in make_instances(rng, 8, n=5):
@@ -527,8 +527,9 @@ class TestPreconditioner:
         assert max(t.cg_iters for t in report.trace) == 0
 
     def test_empty_b_makes_no_b_prime_product(self, rng):
-        """With no rows in B the operator, right-hand side, preconditioner and
-        residuals skip B' and its square, and the operator skips B too."""
+        """With no rows in B a whole solve (start point, residuals, operator,
+        right-hand side and preconditioner) makes no product with B, B' or
+        B' squared."""
         n, k = 40, 3
         hessian = QuasiNewtonHessian(rng.uniform(0.5, 2.0, n),
                                      0.3 * rng.standard_normal((n, k)),
@@ -536,10 +537,11 @@ class TestPreconditioner:
         problem = box_qp(hessian, rng.standard_normal(n), np.full(n, -1.0), np.full(n, 1.0))
         layout = problem.layout
         b, bt, bt_sq = (_CountingProducts(m) for m in (layout.b, layout.bt, layout.bt_sq))
-        problem.__dict__["layout"] = replace(layout, bt=bt, bt_sq=bt_sq)  # cached_property slot
+        # the cached_property slot
+        problem.__dict__["layout"] = replace(layout, b=b, bt=bt, bt_sq=bt_sq)
         report = solve(problem)
         assert report.status is SolveStatus.CONVERGED
-        assert bt.products == bt_sq.products == 0
+        assert b.products == bt.products == bt_sq.products == 0
 
         v = rng.standard_normal(n)
         problem.__dict__["layout"] = layout
