@@ -10,14 +10,14 @@ diagnostics.
 
 from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, solve
 from .linalg import PcgConfig, PcgResult, pcg
-from .model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                    SparseHessian, SparseMatrix, box_qp, hessian_apply,
-                    hessian_diagonal, validate_problem)
+from .model import (Bounds, QpProblem, QuasiNewtonHessian, SparseHessian,
+                    SparseMatrix, box_qp, hessian_apply, hessian_diagonal,
+                    validate_problem)
 
 __all__ = [
-    "Bounds", "DiagonalHessian", "IpmConfig", "PcgConfig", "PcgResult",
-    "QpProblem", "QuasiNewtonHessian", "SolveReport", "SolveStatus",
-    "SparseHessian", "SparseMatrix", "TraceRecord", "box_qp", "hessian_apply",
+    "Bounds", "IpmConfig", "PcgConfig", "PcgResult", "QpProblem",
+    "QuasiNewtonHessian", "SolveReport", "SolveStatus", "SparseHessian",
+    "SparseMatrix", "TraceRecord", "box_qp", "hessian_apply",
     "hessian_diagonal", "pcg", "solve", "validate_problem",
 ]
 

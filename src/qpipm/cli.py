@@ -18,8 +18,8 @@ from . import svm
 from .ipm import IpmConfig, SolveReport, SolveStatus, TraceRecord, infeasibilities, solve
 from .kkt import compute_residuals
 from .linalg import PcgConfig
-from .model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                    SparseHessian, coo_json, validate_problem)
+from .model import (Bounds, QpProblem, QuasiNewtonHessian, SparseHessian,
+                    coo_json, validate_problem)
 
 TRACE_HEADER = "iter,mu,primal_inf,dual_inf,compl_inf,cg_iters,cg_resid,alpha_x,alpha_lambda"
 
@@ -130,7 +130,7 @@ def _hessian(doc, n):
         d = _real_array(_required(doc, "d"), "hessian.d")
         if len(d) != n:
             raise QpFileError("member 'hessian.d' has wrong length")
-        return DiagonalHessian(d)
+        return SparseHessian(sp.diags(d))
     if kind == "coo":
         coo = {key: doc[key] for key in _COO_MEMBERS if key in doc}
         return SparseHessian(_coo_matrix(coo, "hessian", (n, n)))
@@ -200,9 +200,9 @@ def _finite_or_null(values) -> list:
 
 
 def qp_document(problem: QpProblem) -> dict:
-    """Serialize a problem back to the QP file dialect (round-trip safe);
-    the SVM dual's ``svm.SignedKernel``, the only Hessian without a file
-    representation, raises ValueError."""
+    """Serialize a problem back to the QP file dialect (round-trip safe; a
+    ``"diagonal"`` Hessian is written as ``"coo"``, without zeros); the SVM
+    dual's ``svm.SignedKernel``, the only Hessian without a file form, raises ValueError."""
     lin, var = problem.lin_bounds, problem.var_bounds
     return {
         "n": problem.n, "hessian": problem.hessian.to_json(), "p": problem.p.tolist(),

@@ -92,7 +92,7 @@ def _barrier_mu(s: np.ndarray, lam: np.ndarray, mu_tol: float) -> float:
 
 def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
     """Starting point: box midpoints, unit multipliers, slacks max(1, |g(x) - g0|)
-    (inf if that overflows: ``compute_residuals`` then fails), mu by ``_barrier_mu``."""
+    and mu by ``_barrier_mu``, inf where they overflow (``solve`` then fails)."""
     lo, hi = problem.var_bounds.lower, problem.var_bounds.upper
     x = np.zeros(problem.n)
     both = np.isfinite(lo) & np.isfinite(hi)
@@ -105,9 +105,9 @@ def initialize(problem: QpProblem, cfg: IpmConfig) -> IterateState:
     bmap = problem.layout
     with np.errstate(over="ignore"):
         gap = bmap.g(x, bmap.b @ x if bmap.m else np.zeros(0)) - bmap.g0
-    s, lam = np.maximum(1.0, np.abs(gap)), np.ones(len(gap))
-    return IterateState(x=x, lam_e=np.zeros(problem.m_eq), s=s, lam=lam,
-                        mu=_barrier_mu(s, lam, cfg.mu_tol), splits=bmap.splits)
+        s, lam = np.maximum(1.0, np.abs(gap)), np.ones(len(gap))
+        return IterateState(x=x, lam_e=np.zeros(problem.m_eq), s=s, lam=lam,
+                            mu=_barrier_mu(s, lam, cfg.mu_tol), splits=bmap.splits)
 
 
 def _ratio(values: np.ndarray, deltas: np.ndarray) -> float:

@@ -206,9 +206,9 @@ def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
     entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
     M is Jacobi on ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
 
-    When B is empty (m = 0, only variable bounds) and the Hessian is a
-    diagonal plus its low-rank term, the Woodbury path gives M = Q, the
-    whole system: M^{-1} rhs then solves it up to rounding.
+    When B is empty (m = 0, only variable bounds) and H = diag(d) + U diag(w) U'
+    (a ``QuasiNewtonHessian`` or a diagonal ``SparseHessian``), the Woodbury
+    path gives M = Q, the whole system: M^{-1} rhs then solves it up to rounding.
     """
     layout = op.problem.layout
     d, u, w = op.problem.hessian.low_rank()

@@ -6,13 +6,14 @@ canonical form (float64, index arrays fully checked, duplicates summed,
 column indices sorted), built once on construction; the solver reads them
 only through products and the stored entries.
 
-Every Hessian class implements the only members the solver reads (no code
-outside the classes looks at a Hessian's type): ``n``; ``apply(v)``, the
-product H v; ``low_rank()``, ``(d, U, w)`` with H = R + U diag(w) U' and
+Each Hessian class (one per product kernel; a diagonal H is
+``SparseHessian(sp.diags(d))``) implements the only members the solver reads
+(no code outside the classes looks at a Hessian's type): ``n``; ``apply(v)``,
+the product H v; ``low_rank()``, ``(d, U, w)`` with H = R + U diag(w) U' and
 d = diag(R), where k = 0 and d = diag(H) except for ``QuasiNewtonHessian``
 (d = h0_diag); ``validate()``, a list of violations (empty when valid); and
-``to_json()``, the ``hessian`` member of the QP file format.
-The low-rank term's Gram U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
+``to_json()``, the QP file's ``hessian`` member. The low-rank term's Gram
+U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
 """
 
 from __future__ import annotations
@@ -75,30 +76,6 @@ def _finite_report(name: str, arr) -> list[str]:
 def _no_update(d: np.ndarray):
     """low_rank() of a Hessian without a low-rank term: (d, n-by-0 U, no weights)."""
     return d, np.zeros((len(d), 0)), np.zeros(0)
-
-
-@dataclass(frozen=True)
-class DiagonalHessian:
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64))
-
-    @property
-    def n(self):
-        return len(self.d)
-
-    def apply(self, v):
-        return self.d * v
-
-    def low_rank(self):
-        return _no_update(self.d)
-
-    def validate(self):
-        return _finite_report("hessian", self.d)
-
-    def to_json(self):
-        return {"kind": "diagonal", "d": self.d.tolist()}
 
 
 @dataclass(frozen=True)

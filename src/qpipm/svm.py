@@ -106,6 +106,14 @@ def parse_libsvm(text: str | bytes) -> SvmDataset:
         except UnicodeDecodeError as exc:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise SvmParseError(f"line {lineno}: not UTF-8 text") from None
+    # int and float take "_" and non-ASCII digits, str.split and splitlines these
+    # controls and non-ASCII spaces; LIBSVM takes none. Seek the character on a hit
+    odd = "_\v\f\x1c\x1d\x1e\x1f"
+    if not text.isascii() or any(c in text for c in odd):
+        i = next(i for i, c in enumerate(text) if not c.isascii() or c in odd)
+        # text[:i] splits into lines as below, and the character ends text[:i + 1]
+        raise SvmParseError(f"line {len(text[:i + 1].splitlines())}: "
+                            f"character {text[i]!r} is not LIBSVM text")
     indptr, indices, values = [0], [], []
     labels: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,7 +189,7 @@ class SignedKernel:
         return []
 
     def to_json(self):
-        raise ValueError("dense Hessians have no file representation")
+        raise ValueError("the SVM kernel has no file representation")
 
 
 def _signed_kernel(data: SvmDataset, sigma: float) -> SignedKernel:

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 
 from qpipm.kkt import FullDirection, IterateState, KktOperator
 from qpipm.linalg import PcgBreakdownError, PcgResult
-from qpipm.model import (Bounds, DiagonalHessian, DimensionError, QpProblem,
-                         QuasiNewtonHessian, SparseHessian, SparseMatrix)
+from qpipm.model import (Bounds, DimensionError, QpProblem, QuasiNewtonHessian,
+                         SparseHessian, SparseMatrix)
 
 
 def spmv(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -155,8 +155,6 @@ def sparse_to_dense(m: sp.csr_matrix) -> np.ndarray:
 
 def dense_hessian(h) -> np.ndarray:
     """Dense materialization of any Hessian variant."""
-    if isinstance(h, DiagonalHessian):
-        return np.diag(h.d)
     if isinstance(h, SparseHessian):
         return sparse_to_dense(h.m)
     return np.diag(h.h0_diag) + h.u @ np.diag(h.w) @ h.u.T
@@ -449,7 +447,7 @@ def random_hessian(rng, n, kind=None):
     if kind is None:
         kind = rng.choice(["diagonal", "sparse", "bfgs"])
     if kind == "diagonal":
-        return DiagonalHessian(rng.uniform(0.5, 3.0, n))
+        return SparseHessian(sp.diags(rng.uniform(0.5, 3.0, n)))
     if kind == "sparse":
         g = rng.standard_normal((n, max(1, n // 2)))
         dense = g @ g.T / n + 0.2 * np.eye(n)

@@ -21,8 +21,8 @@ from qpipm.ipm import (IpmConfig, SolveStatus, infeasibilities, initialize,
 from qpipm.kkt import (apply_doubly_augmented, assemble_rhs, build_operator,
                        compute_residuals, jacobi_diagonal, recover_directions)
 from qpipm.linalg import PcgConfig, pcg
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseMatrix, box_qp)
+from qpipm.model import (Bounds, QpProblem, QuasiNewtonHessian, SparseHessian,
+                         SparseMatrix, box_qp)
 from qpipm.svm import SvmConfig, SvmDataset, build_svm_dual, parse_libsvm
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -49,10 +49,10 @@ def oracle_instances():
 @pytest.fixture(scope="module")
 def analytic_reports():
     problems = {
-        "active_bound": box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [10.0]),
-        "interior_optimum": box_qp(DiagonalHessian([1.0]), [-2.0], [0.0], [10.0]),
+        "active_bound": box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [10.0]),
+        "interior_optimum": box_qp(SparseHessian(sp.diags([1.0])), [-2.0], [0.0], [10.0]),
         "equality": QpProblem(
-            n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+            n=2, hessian=SparseHessian(sp.diags([1.0, 1.0])), p=[0.0, 0.0],
             a=sp.csr_matrix((0, 2)), lin_bounds=Bounds.free(0),
             c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]),
             b=[1.0], var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0])),

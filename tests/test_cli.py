@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import dense_hessian, sparse_from_dense, sparse_to_dense
 from qpipm import svm
@@ -21,8 +22,8 @@ from qpipm.cli import (TRACE_HEADER, QpFileError, _ipm_config,
                        parse_qp_document, qp_document, write_trace)
 from qpipm.ipm import IpmConfig, SolveStatus, TraceRecord, solve
 from qpipm.linalg import PcgConfig
-from qpipm.model import (BoundIndexMap, DiagonalHessian, QuasiNewtonHessian,
-                         SparseHessian, box_qp, validate_problem)
+from qpipm.model import (BoundIndexMap, QuasiNewtonHessian, SparseHessian,
+                         box_qp, validate_problem)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -146,7 +147,12 @@ class TestQpFile:
         dense = rng.standard_normal((n, n))
         dense = dense + dense.T
         from qpipm.model import Bounds, QpProblem
-        for hess in (DiagonalHessian(rng.uniform(1, 2, n)),
+        # a "diagonal" file is read as a diagonal SparseHessian: written as "coo"
+        parsed_diagonal = parse_qp_document({
+            "n": n, "hessian": {"kind": "diagonal", "d": [1.5, 0.0, 2.0, 1.0]},
+            "p": [0.0] * n}).hessian
+        for hess in (SparseHessian(sp.diags(rng.uniform(1, 2, n))),
+                     parsed_diagonal,
                      SparseHessian(sparse_from_dense(dense)),
                      SparseHessian(dense),  # written as "coo" too
                      QuasiNewtonHessian(rng.uniform(1, 2, n),
@@ -160,9 +166,16 @@ class TestQpFile:
                 b=[1.0],
                 var_bounds=Bounds([0.0] * n, [np.inf] + [2.0] * (n - 1)))
             doc = qp_document(p)
+            if hess is parsed_diagonal:  # the explicit zero is dropped
+                assert doc["hessian"] == {"kind": "coo", "rows": [0, 2, 3],
+                                          "cols": [0, 2, 3], "vals": [1.5, 2.0, 1.0]}
             q = parse_qp_document(json.loads(json.dumps(doc)))
             np.testing.assert_allclose(dense_hessian(q.hessian),
                                        dense_hessian(p.hessian), rtol=1e-15)
+            if isinstance(hess, SparseHessian):  # the same CSR matrix
+                for part in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(q.hessian.m, part),
+                                                  getattr(hess.m, part))
             np.testing.assert_array_equal(sparse_to_dense(q.a), sparse_to_dense(p.a))
             np.testing.assert_array_equal(sparse_to_dense(q.c), sparse_to_dense(p.c))
             np.testing.assert_array_equal(q.lin_bounds.lower, p.lin_bounds.lower)
@@ -347,7 +360,10 @@ class TestSolveQpCommand:
         # x = lx + 1, and the A row's gap x - l overflows
         lambda d: d.update(A={"rows": [0], "cols": [0], "vals": [1.0]},
                            l=[-1.7e308], u=[None], lx=[1.7e308], ux=[None]),
-    ], ids=["midpoint", "gap"])
+        # x = 0 is feasible, but its two slacks of 1e308 overflow mu = s'lam / 2
+        lambda d: d.update(A={"rows": [0, 1], "cols": [0, 0], "vals": [1.0, 1.0]},
+                           l=[-1e308, -1e308], u=[None, None], lx=[-1.0], ux=[1.0]),
+    ], ids=["midpoint", "gap", "mu"])
     def test_overflowing_start_point_warns_nothing(self, edit, tmp_path, capsys):
         doc = box_qp_doc()
         edit(doc)
@@ -755,7 +771,7 @@ def test_overflowing_bfgs_member_is_named(member, tmp_path, capsys):
 def test_svm_dual_has_no_file_representation():
     data = svm.parse_libsvm("+1 1:1\n-1 2:1\n")
     problem = svm.build_svm_dual(data, svm.SvmConfig(sigma=1.0, c=1.0))
-    with pytest.raises(ValueError, match="^dense Hessians have no file representation$"):
+    with pytest.raises(ValueError, match="^the SVM kernel has no file representation$"):
         qp_document(problem)
 
 
@@ -943,7 +959,7 @@ class TestLayoutBuiltOnce:
 
     def test_setup_builds_no_layout(self, qp_path, builds):
         assert validate_problem(load_qp_file(qp_path)) == []
-        box_qp(DiagonalHessian([1.0, 2.0]), [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0])
+        box_qp(SparseHessian(sp.diags([1.0, 2.0])), [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0])
         assert builds == []
 
     def test_solve_and_summary_share_one_layout(self, qp_path, builds):

@@ -17,14 +17,14 @@ from qpipm.kkt import (FullDirection, Residuals, apply_doubly_augmented,
                        build_operator, compute_residuals, preconditioner,
                        recover_directions)
 from qpipm.linalg import PcgBreakdownError, PcgConfig, PcgResult, pcg
-from qpipm.model import (Bounds, DiagonalHessian, QpProblem, QuasiNewtonHessian,
-                         SparseHessian, SparseMatrix, box_qp)
+from qpipm.model import (Bounds, QpProblem, QuasiNewtonHessian, SparseHessian,
+                         SparseMatrix, box_qp)
 
 
 def equality_problem():
     """min 1/2 ||x||^2 s.t. x1 + x2 = 1, -10 <= x <= 10; optimum (0.5, 0.5)."""
     return QpProblem(
-        n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+        n=2, hessian=SparseHessian(sp.diags([1.0, 1.0])), p=[0.0, 0.0],
         a=sp.csr_matrix((0, 2)), lin_bounds=Bounds.free(0),
         c=SparseMatrix.from_coo(1, 2, [0, 0], [0, 1], [1.0, 1.0]), b=[1.0],
         var_bounds=Bounds([-10.0, -10.0], [10.0, 10.0]))
@@ -33,7 +33,7 @@ def equality_problem():
 def infeasible_problem():
     """x >= 1 as a row of A, x <= 0 as a variable bound."""
     return QpProblem(
-        n=1, hessian=DiagonalHessian([1.0]), p=[0.0], a=sp.csr_matrix([[1.0]]),
+        n=1, hessian=SparseHessian(sp.diags([1.0])), p=[0.0], a=sp.csr_matrix([[1.0]]),
         lin_bounds=Bounds([1.0], [np.inf]), c=sp.csr_matrix((0, 1)), b=[],
         var_bounds=Bounds([-np.inf], [0.0]))
 
@@ -47,14 +47,14 @@ def direction_from_dense_oracle(op, rhs, pcg_cfg, prec, x0):
 
 class TestInitialize:
     def test_box_midpoint(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [2.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [0.0], [2.0])
         st0 = initialize(p, IpmConfig())
         assert st0.x[0] == 1.0
         np.testing.assert_array_equal(families(st0).s_lx, [1.0])
         np.testing.assert_array_equal(families(st0).s_ux, [1.0])
 
     def test_lower_bound_only(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [np.inf])
         st0 = initialize(p, IpmConfig())
         assert st0.x[0] == 2.0
         np.testing.assert_array_equal(families(st0).s_lx, [1.0])
@@ -71,7 +71,7 @@ class TestInitialize:
         assert st0.mu == pytest.approx(1e-5)  # no pairs: the floor mu_tol/10
 
     def test_unit_multipliers_and_mu(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [0.0], [2.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [0.0], [2.0])
         st0 = initialize(p, IpmConfig())
         np.testing.assert_array_equal(st0.lam_lx, [1.0])
         np.testing.assert_array_equal(st0.lam_ux, [1.0])
@@ -227,13 +227,13 @@ class TestUpdateBarrier:
 
 class TestSolve:
     def test_active_lower_bound(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [10.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [10.0])
         rep = solve(p)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.x[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_interior_optimum(self):
-        p = box_qp(DiagonalHessian([1.0]), [-2.0], [0.0], [10.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [-2.0], [0.0], [10.0])
         rep = solve(p)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.x[0] == pytest.approx(2.0, abs=1e-5)
@@ -248,7 +248,7 @@ class TestSolve:
         """min 1/2 x'diag(1, 2, 4)x s.t. x1 + x2 + x3 = 7, no inequality:
         x = 7 d^-1 / sum(d^-1) = (4, 2, 1)."""
         p = QpProblem(
-            n=3, hessian=DiagonalHessian([1.0, 2.0, 4.0]), p=np.zeros(3),
+            n=3, hessian=SparseHessian(sp.diags([1.0, 2.0, 4.0])), p=np.zeros(3),
             a=sp.csr_matrix((0, 3)), lin_bounds=Bounds.free(0),
             c=SparseMatrix.from_coo(1, 3, [0, 0, 0], [0, 1, 2], [1.0, 1.0, 1.0]),
             b=[7.0], var_bounds=Bounds.free(3))
@@ -306,7 +306,7 @@ class TestSolve:
 
     def test_nan_preconditioner_is_a_solver_failure(self):
         # H = -10 < 0: the first CG step meets negative curvature
-        p = box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0])
+        p = box_qp(SparseHessian(sp.diags([-10.0])), [0.5], [-1.0], [1.0])
         cfg = IpmConfig(max_iters=3, pcg=PcgConfig(max_iters=50))
         rep = solve(p, cfg)
         assert rep.status is SolveStatus.LINEAR_SOLVER_FAILURE
@@ -325,7 +325,7 @@ class TestSolve:
 
     def test_report_keeps_per_family_multiplier_views(self):
         p = QpProblem(
-            n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
+            n=3, hessian=SparseHessian(sp.diags([1.0, 2.0, 3.0])), p=[1.0, -1.0, 0.5],
             a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
             lin_bounds=Bounds([-1.0, -np.inf], [1.0, 2.0]),
             c=sp.csr_matrix((0, 3)), b=[],
@@ -349,21 +349,30 @@ class TestSolve:
         assert np.all(np.isfinite(rep.x)) and np.isfinite(rep.objective)
 
     def test_overflowing_start_point_is_a_numerical_failure(self):
+        hessian = SparseHessian(sp.diags([1.0]))
         # x starts at its lower bound 1e300 + 1, so A x = 1e600 overflows
-        p = QpProblem(
-            n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
+        ax = QpProblem(
+            n=1, hessian=hessian, p=[0.0],
             a=SparseMatrix.from_coo(1, 1, [0], [0], [1e300]),
             lin_bounds=Bounds([0.0], [np.inf]), c=sp.csr_matrix((0, 1)),
             b=np.zeros(0), var_bounds=Bounds([1e300], [np.inf]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = solve(p)
-        assert rep.status is SolveStatus.NUMERICAL_FAILURE
-        assert rep.iterations == 0 and rep.objective == np.inf
+        # feasible, but x = 0 gives two slacks of 1e308, whose sum s'lam overflows
+        mu = QpProblem(
+            n=1, hessian=hessian, p=[0.0],
+            a=SparseMatrix.from_coo(2, 1, [0, 1], [0, 0], [1.0, 1.0]),
+            lin_bounds=Bounds([-1e308, -1e308], [np.inf, np.inf]),
+            c=sp.csr_matrix((0, 1)), b=np.zeros(0),
+            var_bounds=Bounds([-1.0], [1.0]))
+        for p, objective in ((ax, np.inf), (mu, 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = solve(p)
+            assert rep.status is SolveStatus.NUMERICAL_FAILURE
+            assert rep.iterations == 0 and rep.objective == objective
 
     def test_step_out_of_the_interior_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(ipm, "step_lengths", lambda state, d, gamma: (1.0, 1.0))
-        rep = solve(box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [10.0]))
+        rep = solve(box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [10.0]))
         assert rep.status is SolveStatus.NUMERICAL_FAILURE
         assert rep.iterations == 0
 
@@ -374,7 +383,7 @@ class TestSolve:
             n, m = 30, 10
             a = sp.random(m, n, density=0.3, random_state=5, format="csr")
             return QpProblem(
-                n=n, hessian=DiagonalHessian(rng.uniform(1.0, 2.0, n)),
+                n=n, hessian=SparseHessian(sp.diags(rng.uniform(1.0, 2.0, n))),
                 p=scale * rng.standard_normal(n), a=a,
                 lin_bounds=Bounds(np.full(m, -0.2 * scale), np.full(m, 0.2 * scale)),
                 c=sp.csr_matrix((0, n)), b=[],
@@ -423,7 +432,7 @@ class TestSolve:
     @pytest.mark.parametrize("hessian", [
         QuasiNewtonHessian([1.0, 2.0, 0.5, 1.5], [[1.0, 0.2], [-0.5, 1.0],
                                                   [0.3, 0.0], [0.0, -0.7]], [0.8, 0.3]),
-        DiagonalHessian([1.0, 2.0, 0.5, 1.5])], ids=["quasi_newton", "diagonal"])
+        SparseHessian(sp.diags([1.0, 2.0, 0.5, 1.5]))], ids=["quasi_newton", "diagonal"])
     def test_exact_preconditioner_starts_every_solve_at_its_inverse(self, hessian):
         problem = box_qp(hessian, [1.0, -3.0, 0.5, 2.0],
                          [-1.0, -1.0, -np.inf, 0.0], [1.0, 1.0, np.inf, np.inf])
@@ -441,7 +450,7 @@ class TestSolve:
         box_qp(QuasiNewtonHessian([1.0, 1.0], [[1.0], [0.0]], [-1.0]),
                [0.0, 1.0], [-np.inf, -1.0], [np.inf, 1.0]),
         # H < 0: T <= 0
-        box_qp(DiagonalHessian([-10.0]), [0.5], [-1.0], [1.0]),
+        box_qp(SparseHessian(sp.diags([-10.0])), [0.5], [-1.0], [1.0]),
         # H from a sparse matrix and from a dense array: M is the system's
         # diagonal, not the system
         box_qp(SparseHessian(sp.csr_matrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
@@ -500,7 +509,7 @@ def test_sparse_transposes_do_not_grow_with_iterations(monkeypatch):
 
     def problem():
         return QpProblem(
-            n=3, hessian=DiagonalHessian([1.0, 2.0, 3.0]), p=[1.0, -1.0, 0.5],
+            n=3, hessian=SparseHessian(sp.diags([1.0, 2.0, 3.0])), p=[1.0, -1.0, 0.5],
             a=sparse_from_dense([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
             lin_bounds=Bounds([-1.0, -2.0], [1.0, 2.0]),
             c=sparse_from_dense([[1.0, 0.0, 1.0]]), b=[0.5],

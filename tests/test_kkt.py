@@ -15,8 +15,8 @@ from qpipm.ipm import IpmConfig, SolveStatus, initialize, solve
 from qpipm.kkt import (_MAX_KEPT_ROWS, _dominant_rows, apply_doubly_augmented,
                        assemble_rhs, build_operator, compute_residuals,
                        jacobi_diagonal, preconditioner, recover_directions)
-from qpipm.model import (BoundIndexMap, Bounds, DiagonalHessian, QpProblem,
-                         QuasiNewtonHessian, SparseHessian, box_qp)
+from qpipm.model import (BoundIndexMap, Bounds, QpProblem, QuasiNewtonHessian,
+                         SparseHessian, box_qp)
 
 
 def make_instances(rng, count, **kw):
@@ -31,7 +31,7 @@ def make_instances(rng, count, **kw):
 def scalar_instance():
     """n=1, one lower-bounded linear constraint, unit slack/multiplier: Q=B=D=1."""
     problem = QpProblem(
-        n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
+        n=1, hessian=SparseHessian(sp.diags([1.0])), p=[0.0],
         a=sparse_from_dense([[1.0]]),
         lin_bounds=Bounds([0.0], [np.inf]),
         c=sp.csr_matrix((0, 1)), b=[],
@@ -43,7 +43,7 @@ def scalar_instance():
 class TestBoundIndexMap:
     def test_families(self):
         problem = QpProblem(
-            n=3, hessian=DiagonalHessian([1.0] * 3), p=[0.0] * 3,
+            n=3, hessian=SparseHessian(sp.diags([1.0] * 3)), p=[0.0] * 3,
             a=sparse_from_dense([[1.0, 0, 0], [0, 1.0, 0]]),
             lin_bounds=Bounds([0.0, -np.inf], [np.inf, 2.0]),
             c=sp.csr_matrix((0, 3)), b=[],
@@ -68,7 +68,7 @@ class TestComputeResiduals:
         mu = 0.5
         # solve x(x-1) = mu for x > 1
         x = 0.5 * (1 + np.sqrt(1 + 4 * mu))
-        problem = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [np.inf])
+        problem = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [np.inf])
         state = make_state([x], mu, s_lx=[x - 1.0], lam_lx=[x])
         res = compute_residuals(problem, state)
         assert np.linalg.norm(np.concatenate([res.r_H, res.r_e, res.r_p])) < 1e-12
@@ -102,7 +102,7 @@ class TestComputeResiduals:
 class TestBuildOperator:
     def test_d_diag_example(self):
         problem = QpProblem(
-            n=1, hessian=DiagonalHessian([1.0]), p=[0.0],
+            n=1, hessian=SparseHessian(sp.diags([1.0])), p=[0.0],
             a=sparse_from_dense([[1.0]]),
             lin_bounds=Bounds([0.0], [5.0]),
             c=sparse_from_dense([[1.0]]), b=[0.0],
@@ -113,7 +113,7 @@ class TestBuildOperator:
         np.testing.assert_allclose(op.d_diag, [0.1, 0.5, 2.0])
 
     def test_q_diag_extra_single_lower_bound(self):
-        problem = box_qp(DiagonalHessian([1.0, 1.0]), [0.0, 0.0],
+        problem = box_qp(SparseHessian(sp.diags([1.0, 1.0])), [0.0, 0.0],
                          [0.0, -np.inf], [np.inf, np.inf])
         state = make_state(np.zeros(2), 0.5, s_lx=[1.0], lam_lx=[3.0])
         op = build_operator(problem, state)
@@ -128,7 +128,7 @@ class TestBuildOperator:
 
 class TestApplyDoublyAugmented:
     def test_identity_q_no_constraints(self, rng):
-        problem = box_qp(DiagonalHessian([1.0, 1.0]), [0.0, 0.0],
+        problem = box_qp(SparseHessian(sp.diags([1.0, 1.0])), [0.0, 0.0],
                          [-np.inf, -np.inf], [np.inf, np.inf])
         # no finite bounds: operator is exactly the Hessian block
         state = make_state(np.zeros(2), 0.5)
@@ -178,7 +178,7 @@ class TestJacobiDiagonal:
         np.testing.assert_allclose(jacobi_diagonal(op), [3.0, 1.0])
 
     def test_no_constraints(self):
-        problem = box_qp(DiagonalHessian([2.0, 5.0]), [0.0, 0.0],
+        problem = box_qp(SparseHessian(sp.diags([2.0, 5.0])), [0.0, 0.0],
                          [-np.inf] * 2, [np.inf] * 2)
         state = make_state(np.zeros(2), 0.5)
         op = build_operator(problem, state)
@@ -214,7 +214,7 @@ class TestAssembleRhs:
                                       np.zeros(op.dim))
 
     def test_unconstrained_is_negated_stationarity(self):
-        problem = box_qp(DiagonalHessian([1.0]), [1.0], [-np.inf], [np.inf])
+        problem = box_qp(SparseHessian(sp.diags([1.0])), [1.0], [-np.inf], [np.inf])
         state = make_state(np.zeros(1), 0.5)
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)  # r_H = p = (1)
@@ -276,7 +276,7 @@ class TestRecoverDirections:
             assert not np.any(block)
 
     def test_single_lower_var_bound_full_residual(self):
-        problem = box_qp(DiagonalHessian([2.0]), [-1.0], [0.5], [np.inf])
+        problem = box_qp(SparseHessian(sp.diags([2.0])), [-1.0], [0.5], [np.inf])
         state = make_state([1.5], 0.2, s_lx=[0.7], lam_lx=[0.4])
         op = build_operator(problem, state)
         res = compute_residuals(problem, state)
@@ -389,7 +389,7 @@ class TestPreconditioner:
         # folded into T = 1 + 0.5. With the full Jacobi diagonal 9.5 in place
         # of T0, row 0's ratio 8 / 9.5 would fall below 1.
         problem = QpProblem(
-            n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+            n=2, hessian=SparseHessian(sp.diags([1.0, 1.0])), p=[0.0, 0.0],
             a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
             lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
             c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
@@ -412,11 +412,11 @@ class TestPreconditioner:
             return problem, initialize(problem, IpmConfig()), []
         if name == "empty_row":
             # row 0 stores nothing: not kept even with D_0 = 1e-8
-            h, a, s = DiagonalHessian([1.0, 1.0]), [[0.0, 0.0], [2.0, 2.0]], [1e-8, 1.0]
+            h, a, s = SparseHessian(sp.diags([1.0, 1.0])), [[0.0, 0.0], [2.0, 2.0]], [1e-8, 1.0]
         else:
             # T0 = (0, 1): row 0's column 0 is skipped and column 1 gives
             # 2 * 0.01 < 1; row 1 gives 2 * 4 > 1
-            h, a, s = DiagonalHessian([0.0, 1.0]), [[2.0, 0.1], [0.0, 2.0]], [1.0, 1.0]
+            h, a, s = SparseHessian(sp.diags([0.0, 1.0])), [[2.0, 0.1], [0.0, 2.0]], [1.0, 1.0]
         problem = QpProblem(
             n=2, hessian=h, p=[0.0, 0.0], a=sparse_from_dense(a),
             lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
@@ -447,7 +447,7 @@ class TestPreconditioner:
         # the instance of test_dominant_row_is_kept_and_weak_row_folded: row 0
         # is kept, row 1 folded, so B_k' is a strict part of B'
         problem = QpProblem(
-            n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+            n=2, hessian=SparseHessian(sp.diags([1.0, 1.0])), p=[0.0, 0.0],
             a=sparse_from_dense([[2.0, 2.0], [0.5, 0.5]]),
             lin_bounds=Bounds([0.0, 0.0], [np.inf, np.inf]),
             c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))

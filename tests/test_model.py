@@ -10,10 +10,9 @@ from oracles import (dense_hessian, random_hessian, sparse_from_dense,
                      sparse_to_dense)
 from qpipm.cli import parse_qp_document, qp_document
 from qpipm.ipm import SolveStatus, solve
-from qpipm.model import (Bounds, DiagonalHessian, DimensionError, QpProblem,
-                         QuasiNewtonHessian, SparseHessian, SparseMatrix,
-                         box_qp, hessian_apply, hessian_diagonal,
-                         validate_problem)
+from qpipm.model import (Bounds, DimensionError, QpProblem, QuasiNewtonHessian,
+                         SparseHessian, SparseMatrix, box_qp, hessian_apply,
+                         hessian_diagonal, validate_problem)
 
 
 class TestSparseMatrix:
@@ -46,7 +45,7 @@ class TestSparseMatrix:
         ]
         for make in invalid:
             with pytest.raises(ValueError):
-                QpProblem(n=2, hessian=DiagonalHessian([1.0, 1.0]), p=[0.0, 0.0],
+                QpProblem(n=2, hessian=SparseHessian(sp.diags([1.0, 1.0])), p=[0.0, 0.0],
                           a=make(), lin_bounds=Bounds.free(make().shape[0]),
                           c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2))
             with pytest.raises(ValueError):
@@ -65,7 +64,7 @@ class TestSparseMatrix:
         for i in range(given.shape[0]):
             for k in range(offsets[i], offsets[i + 1]):
                 summed[i, cols[k]] += vals[k]
-        problem = QpProblem(n=3, hessian=DiagonalHessian(np.ones(3)), p=np.zeros(3),
+        problem = QpProblem(n=3, hessian=SparseHessian(sp.diags(np.ones(3))), p=np.zeros(3),
                             a=given, lin_bounds=Bounds.free(given.shape[0]),
                             c=given, b=np.zeros(given.shape[0]),
                             var_bounds=Bounds.free(3))
@@ -80,14 +79,15 @@ class TestSparseMatrix:
 
     def test_column_decrease_across_rows_accepted(self):
         m = sp.csr_matrix(([1.0, 2.0, 3.0, 4.0], [1, 2, 0, 0], [0, 2, 2, 3, 4]), shape=(4, 3))
-        problem = QpProblem(n=3, hessian=DiagonalHessian(np.ones(3)), p=np.zeros(3),
+        problem = QpProblem(n=3, hessian=SparseHessian(sp.diags(np.ones(3))), p=np.zeros(3),
                             a=m, lin_bounds=Bounds.free(4), c=sp.csr_matrix((0, 3)),
                             b=[], var_bounds=Bounds.free(3))
         np.testing.assert_array_equal(
             sparse_to_dense(problem.a), [[0, 1, 2], [0, 0, 0], [3, 0, 0], [4, 0, 0]])
 
     def test_empty(self):
-        problem = box_qp(DiagonalHessian(np.ones(3)), np.zeros(3), -np.ones(3), np.ones(3))
+        problem = box_qp(SparseHessian(sp.diags(np.ones(3))), np.zeros(3),
+                         -np.ones(3), np.ones(3))
         assert problem.a.nnz == problem.c.nnz == 0
         assert sparse_to_dense(problem.a).shape == (0, 3)
 
@@ -99,7 +99,7 @@ class TestHessianApply:
 
     def test_diagonal_example(self):
         np.testing.assert_allclose(
-            hessian_apply(DiagonalHessian([2.0, 3.0]), [1.0, 1.0]), [2.0, 3.0])
+            hessian_apply(SparseHessian(sp.diags([2.0, 3.0])), [1.0, 1.0]), [2.0, 3.0])
 
     def test_quasi_newton_matches_dense_oracle(self, rng):
         h = QuasiNewtonHessian(rng.uniform(0.5, 2.0, 20),
@@ -116,7 +116,7 @@ class TestHessianApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            hessian_apply(DiagonalHessian([1.0, 2.0]), [1.0])
+            hessian_apply(SparseHessian(sp.diags([1.0, 2.0])), [1.0])
 
     def test_symmetry_all_variants(self, rng):
         for kind in ("diagonal", "sparse", "bfgs", "dense"):
@@ -167,7 +167,7 @@ class TestHessianDiagonal:
 
     def test_diagonal_identity(self):
         np.testing.assert_array_equal(
-            hessian_diagonal(DiagonalHessian([4.0, 7.0])), [4.0, 7.0])
+            hessian_diagonal(SparseHessian(sp.diags([4.0, 7.0]))), [4.0, 7.0])
 
     def test_sparse_matches_dense_oracle(self, rng):
         h = random_hessian(rng, 10, "sparse")
@@ -210,7 +210,7 @@ def test_solver_reads_only_the_hessian_members():
     np.testing.assert_allclose(report.x, [-0.5, 1.0, 0.0], atol=1e-4)
     doc = qp_document(p)
     assert doc["hessian"] == {"kind": "diagonal", "d": [2.0, 2.0, 2.0]}
-    np.testing.assert_array_equal(parse_qp_document(doc).hessian.d, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(parse_qp_document(doc).hessian.m.diagonal(), [2.0, 2.0, 2.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,26 +218,26 @@ def test_solver_reads_only_the_hessian_members():
 def test_diagonal_hessian_apply_property(d, data):
     v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
                                     min_size=len(d), max_size=len(d))))
-    h = DiagonalHessian(d)
+    h = SparseHessian(sp.diags(d))
     np.testing.assert_array_equal(hessian_apply(h, v), np.array(d) * v)
 
 
 class TestValidateProblem:
     def well_formed(self):
-        return box_qp(DiagonalHessian([1.0, 2.0]), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        return box_qp(SparseHessian(sp.diags([1.0, 2.0])), [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
     def test_well_formed_box_qp(self):
         assert validate_problem(self.well_formed()) == []
 
     def test_inverted_bound(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [1.0], [0.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [1.0], [0.0])
         report = validate_problem(p)
         assert len(report) == 1
         assert "inverted bound" in report[0]
 
     @pytest.mark.parametrize("fields, message", [
         ({"p": [1.0, 2.0, 3.0]}, "dimension mismatch: p has length 3, expected 2"),
-        ({"hessian": DiagonalHessian([1.0, 2.0, 3.0])},
+        ({"hessian": SparseHessian(sp.diags([1.0, 2.0, 3.0]))},
          "dimension mismatch: hessian is 3-dimensional, expected 2"),
         ({"a": sp.csr_matrix((1, 3)), "lin_bounds": Bounds([0.0], [1.0])},
          "dimension mismatch: A has 3 columns, expected 2"),
@@ -250,7 +250,7 @@ class TestValidateProblem:
         ({"var_bounds": Bounds([0.0], [1.0])},
          "dimension mismatch: var_bounds has length 1, expected 2"),
         # an equality row keeps the barrier subproblem well-posed
-        ({"n": 0, "hessian": DiagonalHessian([]), "p": [], "a": sp.csr_matrix((0, 0)),
+        ({"n": 0, "hessian": SparseHessian(sp.diags([])), "p": [], "a": sp.csr_matrix((0, 0)),
           "c": sp.csr_matrix((1, 0)), "b": [0.0], "var_bounds": Bounds.free(0)},
          "empty variable space (n must be >= 1)"),
     ], ids=["p", "hessian", "a_columns", "lin_bounds", "c_columns", "b",
@@ -259,11 +259,11 @@ class TestValidateProblem:
         assert validate_problem(replace(self.well_formed(), **fields)) == [message]
 
     def test_nan_rejected(self):
-        p = box_qp(DiagonalHessian([1.0]), [np.nan], [0.0], [1.0])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [np.nan], [0.0], [1.0])
         assert any("NaN" in v for v in validate_problem(p))
 
     def test_fully_unconstrained_rejected(self):
-        p = box_qp(DiagonalHessian([1.0]), [0.0], [-np.inf], [np.inf])
+        p = box_qp(SparseHessian(sp.diags([1.0])), [0.0], [-np.inf], [np.inf])
         assert any("well-posed" in v for v in validate_problem(p))
 
     def test_asymmetric_dense_hessian_rejected(self):

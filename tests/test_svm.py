@@ -96,6 +96,23 @@ class TestParseLibsvm:
         data = parse_libsvm("+1 1:1\n\n-1 1:2\n")
         assert len(data) == 2
 
+    @pytest.mark.parametrize("text, line, char", [
+        ("-1 2:1\n+1 1_0:1", 2, "'_'"),  # int reads 1_0 as 10
+        ("+1 1:1_5", 1, "'_'"),  # float reads 1_5 as 15.0
+        ("-1 2:1\n+1 \u0663:1", 2, "'\u0663'"),  # an Arabic-Indic 3
+        ("\u0661 1:1", 1, "'\u0661'"),  # an Arabic-Indic 1, read as +1
+        ("+1 1:1\u00a02:1", 1, r"'\\xa0'"),  # a no-break space
+        ("+1 1:1\f-1 2:1", 1, r"'\\x0c'"),  # str.splitlines ends a line here
+        ("+1 1:1\r\n-1 2:1\x1e+1 1:1", 2, r"'\\x1e'"),
+    ], ids=["index-underscore", "value-underscore", "non-ascii-digit",
+            "non-ascii-label", "no-break-space", "form-feed", "record-separator"])
+    def test_characters_outside_libsvm_text_name_their_line(self, text, line, char):
+        with pytest.raises(SvmParseError,
+                           match=f"^line {line}: character {char} is not LIBSVM text$"):
+            parse_libsvm(text)
+        with pytest.raises(SvmParseError, match=f"^line {line}: "):
+            parse_libsvm(text.encode("utf-8"))
+
 
 class TestSvmDataset:
     def test_non_canonical_samples_are_stored_summed_and_sorted(self):
