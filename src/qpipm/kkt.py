@@ -8,10 +8,11 @@ the rest are var_sign * x[var_idx] (+1 lower, -1 upper) and go into Q's
 diagonal. g0 = (l, -u, lx, -ux) on the finite entries. The Newton system is
 never formed: each operator application uses one product with H, B and B'.
 B and B' are built once per problem (``QpProblem.layout``). The PCG
-preconditioner keeps the Hessian's low-rank term and the dominant rows of B
-whole and applies its inverse with the Woodbury identity; the rest of the
-top block is cut to its diagonal. With nothing kept whole it is Jacobi.
-The low-rank term's Gram U' T^{-1} U comes from
+preconditioner is M = blockdiag(T + V S V', D), T diagonal, applied with the
+Woodbury identity: V holds the Hessian's low-rank term and the dominant rows
+of B, and T the rest of the top block cut to its diagonal. V may be empty,
+and M is then Jacobi; when Woodbury cannot be applied, V is empty and T is
+the full diagonal. The low-rank term's Gram U' T^{-1} U comes from
 ``QpProblem.low_rank_gram``, which reads only the rows of U whose diagonal
 entry moved.
 """
@@ -23,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (BoundIndexMap, QpProblem, _positive_inverse, hessian_apply,
-                    hessian_diagonal)
+from .model import QpProblem, _positive_inverse, hessian_apply, hessian_diagonal
 
 
 def _multiplier_view(family: int) -> property:
@@ -190,46 +190,84 @@ _MAX_KEPT_ROWS = 1024
 
 
 def preconditioner(op: KktOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> M^{-1} v for PCG on the doubly augmented system, by ``_woodbury_inverse``.
+    """v -> M^{-1} v for PCG on the doubly augmented system, matrix-free.
 
-    With (d, U, w) = ``hessian.low_rank()``, M = blockdiag(T + V S V', D),
-    V = [U, B_k'] and S = diag(w, 2/D_k): the Hessian's low-rank term and the
-    dominant rows B_k of B are kept whole, every other term of the top block
-    Q + 2B'D^{-1}B is cut to its diagonal T. Row i is dominant when
-    (2/D_i) max_j B_ij^2 / T0_j > 1, T0 = d + q_diag_extra, i.e. when its term
-    outweighs a diagonal entry without any B row's term; at most
-    ``_MAX_KEPT_ROWS`` rows are kept, those with the largest ratio.
-    T = T0 + diag(2B'D^{-1}B) over the other rows; U'T^{-1}U is
-    ``QpProblem.low_rank_gram(T)``.
+    M = blockdiag(T + V S V', D) with T diagonal; V may be empty. With
+    (d, U, w) = ``hessian.low_rank()``, V = [U, B_k'] and S = diag(w, 2/D_k):
+    the Hessian's low-rank term and the dominant rows B_k of B are kept
+    whole, every other term of the top block Q + 2B'D^{-1}B is cut to its
+    diagonal T. Row i is dominant when (2/D_i) max_j B_ij^2 / T0_j > 1,
+    T0 = d + q_diag_extra, i.e. when its term outweighs a diagonal entry
+    without any B row's term; at most ``_MAX_KEPT_ROWS`` rows are kept,
+    those with the largest ratio. T = T0 + diag(2B'D^{-1}B) over the other
+    rows. When T has an entry <= 0 (Woodbury divides by T) or the
+    capacitance matrix below is singular, V is empty and (T, D) is
+    ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
 
-    With k = 0 and no row kept, V is empty and M is Jacobi. When T has an
-    entry <= 0 (Woodbury divides by T) or the capacitance matrix is singular,
-    M is Jacobi on ``jacobi_diagonal(op)``, entries <= 0 or NaN set to 1.
+    By the Woodbury identity (T + VSV')^{-1} r = y - T^{-1} V c with
+    y = T^{-1} r and Cap c = (w U'y, B_k y), where G = V' T^{-1} V
+    (G_uu = ``QpProblem.low_rank_gram(T)``) and
+    Cap = [[I + W G_uu, W G_ub], [G_bu, D_k/2 + G_bb]] (I + SG with its B_k
+    rows scaled by D_k/2). Cap needs neither W^{-1} nor 2/D_k, so zero or
+    negative weights and D_k -> 0 are fine, and by Sylvester's determinant
+    identity it is singular only when T + VSV' is. It is inverted once per
+    build; each application makes two passes over U and one product each
+    with B_k and B_k'. With V empty M is Jacobi, and an application makes none.
 
     When B is empty (m = 0, only variable bounds) and H = diag(d) + U diag(w) U'
-    (a ``QuasiNewtonHessian`` or a diagonal ``SparseHessian``), the Woodbury
-    path gives M = Q, the whole system: M^{-1} rhs then solves it up to rounding.
+    (a ``QuasiNewtonHessian`` or a diagonal ``SparseHessian``), M = Q, the
+    whole system: M^{-1} rhs then solves it up to rounding.
     """
-    layout = op.problem.layout
+    layout, n = op.problem.layout, op.n
     d, u, w = op.problem.hessian.low_rank()
-    t = d + op.q_diag_extra
+    t, d_inv = d + op.q_diag_extra, 1.0 / op.d_diag
     kept = np.zeros(0, dtype=np.intp)
     if op.m:
-        inv_d = 1.0 / op.d_diag
+        inv_d = d_inv.copy()
         kept = _dominant_rows(layout.b, t, inv_d)
         inv_d[kept] = 0.0
         # the folded rows' terms added directly: subtracting the kept rows'
         # terms from jacobi_diagonal would cancel
         t += 2.0 * (layout.bt_sq @ inv_d)
+    k, m_k = u.shape[1], len(kept)
+    cap_inv = None
     if np.all(t > 0):
+        t_inv = 1.0 / t
+        cap = np.zeros((k + m_k, k + m_k))
+        cap[:k, :k] = w[:, None] * op.problem.low_rank_gram(t)
+        if m_k:
+            b_k = layout.b[kept]
+            # B_k' as columns of B': transposing B_k would build a new matrix
+            bt_k = layout.bt[:, kept]
+            scaled = b_k.copy()
+            scaled.data *= t_inv[scaled.indices]  # B_k T^{-1}
+            g_bu = scaled @ u
+            cap[:k, k:] = w[:, None] * g_bu.T
+            cap[k:, :k] = g_bu
+            cap[k:, k:] = (scaled @ bt_k).toarray()
+            cap[k + np.arange(m_k), k + np.arange(m_k)] += 0.5 * op.d_diag[kept]
+        cap[np.arange(k), np.arange(k)] += 1.0
         try:
-            return _woodbury_inverse(u, w, op.problem.low_rank_gram(t),
-                                     t, op.d_diag, layout, kept)
+            cap_inv = np.linalg.inv(cap)
         except np.linalg.LinAlgError:
             pass  # then T + VSV' is singular too
-    diag = jacobi_diagonal(op)
-    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 0 for a free variable without curvature
-    return lambda v: inv_diag * v
+    if cap_inv is None:  # V empty on the full diagonal, clamped
+        diag = jacobi_diagonal(op)  # 0 for a free variable without curvature
+        inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+        t_inv, d_inv, k, m_k = inv_diag[:n], inv_diag[n:], 0, 0
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        y = t_inv * v[:n]
+        if k or m_k:
+            c = cap_inv @ np.concatenate([w * (u.T @ y), b_k @ y if m_k else ()])
+            correction = u @ c[:k]
+            if m_k:
+                correction += bt_k @ c[k:]
+            correction *= t_inv
+            y -= correction
+        return np.concatenate([y, d_inv * v[n:]])
+
+    return apply
 
 
 def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
@@ -245,56 +283,6 @@ def _dominant_rows(b, t0: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
         strongest = np.argpartition(ratio[kept], -_MAX_KEPT_ROWS)[-_MAX_KEPT_ROWS:]
         kept = np.sort(kept[strongest])
     return kept
-
-
-def _woodbury_inverse(u: np.ndarray, w: np.ndarray, gram: np.ndarray, t: np.ndarray,
-                      d: np.ndarray, layout: BoundIndexMap,
-                      kept: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> blockdiag(diag(t) + V S V', diag(d))^{-1} v, matrix-free, with
-    V = [U, B_k'], S = diag(w, 2/d_k), B_k the kept rows of layout.b and
-    ``gram`` = U' T^{-1} U.
-
-    (T + VSV')^{-1} r = y - T^{-1} V c with y = T^{-1} r and
-    Cap c = (w U'y, B_k y), where G = V' T^{-1} V and
-    Cap = [[I + W G_uu, W G_ub], [G_bu, D_k/2 + G_bb]] (I + SG with its B_k
-    rows scaled by D_k/2). Cap needs neither W^{-1} nor 2/D_k, so zero or
-    negative weights and D_k -> 0 are fine, and by Sylvester's determinant
-    identity it is singular only when T + VSV' is; it is inverted here,
-    once, and raises LinAlgError then. Each application makes two passes
-    over U and one product each with B_k and B_k'; with V empty, none.
-    """
-    n, k = u.shape
-    m_k = len(kept)
-    t_inv, d_inv = 1.0 / t, 1.0 / d
-    cap = np.zeros((k + m_k, k + m_k))
-    cap[:k, :k] = w[:, None] * gram
-    if m_k:
-        b_k = layout.b[kept]
-        # B_k' as columns of B': transposing B_k would build a new matrix
-        bt_k = layout.bt[:, kept]
-        scaled = b_k.copy()
-        scaled.data *= t_inv[scaled.indices]  # B_k T^{-1}
-        g_bu = scaled @ u
-        cap[:k, k:] = w[:, None] * g_bu.T
-        cap[k:, :k] = g_bu
-        g_bb = (scaled @ bt_k).tocoo()
-        cap[k + g_bb.row, k + g_bb.col] = g_bb.data
-        cap[k + np.arange(m_k), k + np.arange(m_k)] += 0.5 * d[kept]
-    cap[np.arange(k), np.arange(k)] += 1.0
-    cap_inv = np.linalg.inv(cap)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        y = t_inv * v[:n]
-        if k or m_k:
-            c = cap_inv @ np.concatenate([w * (u.T @ y), b_k @ y if m_k else ()])
-            correction = u @ c[:k]
-            if m_k:
-                correction += bt_k @ c[k:]
-            correction *= t_inv
-            y -= correction
-        return np.concatenate([y, d_inv * v[n:]])
-
-    return apply
 
 
 def assemble_rhs(op: KktOperator, res: Residuals, r_c: np.ndarray) -> np.ndarray:

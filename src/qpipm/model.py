@@ -18,7 +18,7 @@ U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol
 
@@ -81,12 +81,18 @@ def _no_update(d: np.ndarray):
 @dataclass(frozen=True)
 class SparseHessian:
     """Symmetric Hessian: ``m`` is a canonical CSR copy of the scipy sparse
-    matrix or dense array given, both triangles stored."""
+    matrix or dense array given, both triangles stored; ``low_rank()``
+    returns its diagonal, read-only and built once."""
 
     m: sp.csr_matrix
+    _diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _canonical_csr(self.m))
+        m = _canonical_csr(self.m)
+        diag = m.diagonal()
+        diag.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_diag", diag)
 
     @property
     def n(self):
@@ -96,7 +102,7 @@ class SparseHessian:
         return self.m @ v
 
     def low_rank(self):
-        return _no_update(self.m.diagonal())
+        return _no_update(self._diag)
 
     def validate(self):
         m = self.m

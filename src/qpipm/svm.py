@@ -101,19 +101,17 @@ class SvmModel:
 def parse_libsvm(text: str | bytes) -> SvmDataset:
     """Parse the LIBSVM line format: "<label> <idx>:<val> ..." (1-based indices)."""
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = text.count(b"\n", 0, exc.start) + 1
-            raise SvmParseError(f"line {lineno}: not UTF-8 text") from None
+        # an undecodable byte becomes a lone surrogate U+DC80-U+DCFF, found below
+        text = text.decode("utf-8", "surrogateescape")
     # int and float take "_" and non-ASCII digits, str.split and splitlines these
     # controls and non-ASCII spaces; LIBSVM takes none. Seek the character on a hit
     odd = "_\v\f\x1c\x1d\x1e\x1f"
     if not text.isascii() or any(c in text for c in odd):
         i = next(i for i, c in enumerate(text) if not c.isascii() or c in odd)
         # text[:i] splits into lines as below, and the character ends text[:i + 1]
-        raise SvmParseError(f"line {len(text[:i + 1].splitlines())}: "
-                            f"character {text[i]!r} is not LIBSVM text")
+        what = ("not UTF-8 text" if "\udc80" <= text[i] <= "\udcff"
+                else f"character {text[i]!r} is not LIBSVM text")
+        raise SvmParseError(f"line {len(text[:i + 1].splitlines())}: {what}")
     indptr, indices, values = [0], [], []
     labels: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

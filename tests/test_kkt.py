@@ -502,6 +502,7 @@ class TestPreconditioner:
         diag = jacobi_diagonal(op)
         np.testing.assert_array_equal(preconditioner(op)(v),
                                       (1.0 / np.where(diag > 0, diag, 1.0)) * v)
+        assert solve(problem).status is SolveStatus.CONVERGED
 
     def test_singular_capacitance_falls_back_to_jacobi(self):
         # H = diag(0, 1): the free variable's block T + UWU' is exactly 0

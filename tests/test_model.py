@@ -173,6 +173,13 @@ class TestHessianDiagonal:
         h = random_hessian(rng, 10, "sparse")
         np.testing.assert_allclose(hessian_diagonal(h), np.diag(dense_hessian(h)))
 
+    def test_sparse_low_rank_diagonal_is_built_once(self, rng):
+        h = random_hessian(rng, 10, "sparse")
+        first, second = h.low_rank()[0], h.low_rank()[0]
+        assert first is second
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, h.m.diagonal())
+
     def test_diagonal_equals_unit_vector_probes(self, rng):
         for kind in ("diagonal", "sparse", "bfgs"):
             h = random_hessian(rng, 7, kind)

@@ -58,6 +58,9 @@ class TestParseLibsvm:
     def test_undecodable_byte_names_its_line(self):
         with pytest.raises(SvmParseError, match="^line 2: not UTF-8 text$"):
             parse_libsvm(b"+1 1:1\n-1 2:1\xff\n")
+        # a lone \r ends a line too, as for every other parse error
+        with pytest.raises(SvmParseError, match="^line 2: not UTF-8 text$"):
+            parse_libsvm(b"+1 1:1\r-1 2:1\xff\n")
 
     def test_non_binary_label(self):
         with pytest.raises(SvmParseError, match="line 2.*non-binary"):
