@@ -59,9 +59,8 @@ def _required(doc: dict, name: str):
     return doc[name]
 
 
-def _real_array(doc, name, null=None) -> np.ndarray:
+def _real_array(raw, name, null=None) -> np.ndarray:
     """``null``: the value a JSON null stands for; None rejects nulls."""
-    raw = doc
     if not isinstance(raw, list):
         raise QpFileError(f"member '{name}' must be an array")
     out = np.empty(len(raw))
@@ -160,16 +159,10 @@ def parse_qp_document(doc: dict) -> QpProblem:
     lin_bounds = _bounds(doc, "l", "u", 0)
     var_bounds = _bounds(doc, "lx", "ux", n)
     b = _real_array(doc.get("b", []), "b")
-    return QpProblem(
-        n=n,
-        hessian=_hessian(_required(doc, "hessian"), n),
-        p=p,
-        a=_coo_matrix(doc.get("A"), "A", (len(lin_bounds), n)),
-        lin_bounds=lin_bounds,
-        c=_coo_matrix(doc.get("C"), "C", (len(b), n)),
-        b=b,
-        var_bounds=var_bounds,
-    )
+    return QpProblem(n=n, hessian=_hessian(_required(doc, "hessian"), n), p=p,
+                     a=_coo_matrix(doc.get("A"), "A", (len(lin_bounds), n)),
+                     lin_bounds=lin_bounds, c=_coo_matrix(doc.get("C"), "C", (len(b), n)),
+                     b=b, var_bounds=var_bounds)
 
 
 def _unique_members(pairs) -> dict:

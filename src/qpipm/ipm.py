@@ -69,9 +69,7 @@ class TraceRecord:
     cg_resid: float
     alpha_x: float
     alpha_lam: float
-    # False when PCG stopped at its cap or broke down; None when not recorded
-    # (the paper-format trace CSV has no column for it)
-    cg_converged: bool | None = None
+    cg_converged: bool  # False when PCG stopped at its cap or broke down
 
 
 @dataclass(frozen=True)

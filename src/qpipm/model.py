@@ -14,6 +14,10 @@ d = diag(R), where k = 0 and d = diag(H) except for ``QuasiNewtonHessian``
 (d = h0_diag); ``validate()``, a list of violations (empty when valid); and
 ``to_json()``, the QP file's ``hessian`` member. The low-rank term's Gram
 U' diag(1/t) U is ``QpProblem.low_rank_gram(t)``.
+
+Shapes are checked where an object is built (by ``dataclasses.replace``
+too): an inconsistent one is a ``DimensionError``; ``validate_problem``
+reports values only.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ def _finite_report(name: str, arr) -> list[str]:
     return _nan_report(name, arr) or [f"non-finite data (inf) in {name}"]
 
 
+def _extent(v: np.ndarray) -> str:
+    return f"length {len(v)}" if v.ndim == 1 else f"shape {v.shape}"
+
+
 def _no_update(d: np.ndarray):
     """low_rank() of a Hessian without a low-rank term: (d, n-by-0 U, no weights)."""
     return d, np.zeros((len(d), 0)), np.zeros(0)
@@ -80,8 +88,8 @@ def _no_update(d: np.ndarray):
 
 @dataclass(frozen=True)
 class SparseHessian:
-    """Symmetric Hessian: ``m`` is a canonical CSR copy of the scipy sparse
-    matrix or dense array given, both triangles stored; ``low_rank()``
+    """Symmetric Hessian: ``m`` is a canonical CSR copy of the square scipy
+    sparse matrix or dense array given, both triangles stored; ``low_rank()``
     returns its diagonal, read-only and built once."""
 
     m: sp.csr_matrix
@@ -89,6 +97,8 @@ class SparseHessian:
 
     def __post_init__(self):
         m = _canonical_csr(self.m)
+        if m.shape[0] != m.shape[1]:
+            raise DimensionError(f"hessian is not square: shape {m.shape}")
         diag = m.diagonal()
         diag.flags.writeable = False
         object.__setattr__(self, "m", m)
@@ -107,10 +117,8 @@ class SparseHessian:
     def validate(self):
         m = self.m
         report = _finite_report("hessian", m.data)
-        if m.shape[0] != m.shape[1]:
-            report.append(f"hessian is not square: shape {m.shape}")
-        elif (not report and m.data.size  # m - m.T is NaN where m holds inf
-              and abs(m - m.T).max() > 1e-10 * np.max(np.abs(m.data))):
+        if (not report and m.data.size  # m - m.T is NaN where m holds inf
+                and abs(m - m.T).max() > 1e-10 * np.max(np.abs(m.data))):
             report.append("hessian is not symmetric")
         return report
 
@@ -123,7 +131,7 @@ class QuasiNewtonHessian:
     """Low-rank-updated curvature model H = H0 + U diag(w) U^T, H0 diagonal.
 
     Products never materialize the dense n-by-n matrix. k = 0 is legal and
-    means H = H0.
+    means H = H0. h0_diag and w are 1-D and u is n-by-k, or a DimensionError.
     """
 
     h0_diag: np.ndarray
@@ -134,11 +142,12 @@ class QuasiNewtonHessian:
         h0 = np.asarray(self.h0_diag, dtype=np.float64)
         u = np.asarray(self.u, dtype=np.float64)
         w = np.asarray(self.w, dtype=np.float64)
-        if u.ndim != 2 or u.shape[0] != len(h0) or u.shape[1] != len(w):
+        if h0.ndim != 1 or w.ndim != 1:
+            raise DimensionError("h0_diag and w must be one-dimensional")
+        if u.shape != (len(h0), len(w)):
             raise DimensionError("update matrix must be n x k with k weights")
-        object.__setattr__(self, "h0_diag", h0)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
+        for name, value in (("h0_diag", h0), ("u", u), ("w", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -210,7 +219,7 @@ def _positive_inverse(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Two-sided extended-real bounds; -inf/+inf mark unbounded sides."""
+    """Two-sided extended-real bounds, 1-D of equal length; ±inf marks an unbounded side."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -218,6 +227,8 @@ class Bounds:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.float64)
         hi = np.asarray(self.upper, dtype=np.float64)
+        if lo.ndim != 1 or hi.ndim != 1:
+            raise DimensionError("lower and upper must be one-dimensional")
         if lo.shape != hi.shape:
             raise DimensionError("lower and upper must have equal length")
         object.__setattr__(self, "lower", lo)
@@ -235,6 +246,7 @@ class Bounds:
 class QpProblem:
     """Convex QP: min 1/2 x'Hx + p'x  s.t.  l <= Ax <= u,  Cx = b,  lx <= x <= ux.
 
+    Construction raises DimensionError on the first inconsistent shape.
     Positive semidefiniteness of the Hessian is a precondition, not a
     runtime check; tests spot-check it by random quadratic-form sampling.
     """
@@ -249,10 +261,21 @@ class QpProblem:
     var_bounds: Bounds
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
-        object.__setattr__(self, "a", _canonical_csr(self.a))
-        object.__setattr__(self, "c", _canonical_csr(self.c))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
+        n, lin, var = self.n, self.lin_bounds, self.var_bounds
+        p, b = np.asarray(self.p, dtype=np.float64), np.asarray(self.b, dtype=np.float64)
+        a, c = _canonical_csr(self.a), _canonical_csr(self.c)
+        for ok, what, expected in (
+                (p.shape == (n,), f"p has {_extent(p)}", n),
+                (self.hessian.n == n, f"hessian is {self.hessian.n}-dimensional", n),
+                (a.shape[1] == n, f"A has {a.shape[1]} columns", n),
+                (len(lin) == a.shape[0], f"lin_bounds has length {len(lin)}", a.shape[0]),
+                (c.shape[1] == n, f"C has {c.shape[1]} columns", n),
+                (b.shape == (c.shape[0],), f"b has {_extent(b)}", c.shape[0]),
+                (len(var) == n, f"var_bounds has length {len(var)}", n)):
+            if not ok:
+                raise DimensionError(f"dimension mismatch: {what}, expected {expected}")
+        for name, value in (("p", p), ("a", a), ("c", c), ("b", b)):
+            object.__setattr__(self, name, value)
 
     @property
     def m_lin(self) -> int:
@@ -359,25 +382,11 @@ def box_qp(hessian: Hessian, p, lower, upper) -> QpProblem:
 
 
 def validate_problem(problem: QpProblem) -> list[str]:
-    """Return a list of violations; an empty list means the problem is valid."""
+    """Return a list of violations; an empty list means the problem is valid.
+    Values only: a built ``QpProblem``'s shapes are consistent."""
     report: list[str] = []
-    n, m_a, m_e = problem.n, problem.m_lin, problem.m_eq
-    if n <= 0:
+    if problem.n <= 0:
         report.append("empty variable space (n must be >= 1)")
-    if len(problem.p) != n:
-        report.append(f"dimension mismatch: p has length {len(problem.p)}, expected {n}")
-    if problem.hessian.n != n:
-        report.append(f"dimension mismatch: hessian is {problem.hessian.n}-dimensional, expected {n}")
-    if problem.a.shape[1] != n:
-        report.append(f"dimension mismatch: A has {problem.a.shape[1]} columns, expected {n}")
-    if len(problem.lin_bounds) != m_a:
-        report.append(f"dimension mismatch: lin_bounds has length {len(problem.lin_bounds)}, expected {m_a}")
-    if problem.c.shape[1] != n:
-        report.append(f"dimension mismatch: C has {problem.c.shape[1]} columns, expected {n}")
-    if len(problem.b) != m_e:
-        report.append(f"dimension mismatch: b has length {len(problem.b)}, expected {m_e}")
-    if len(problem.var_bounds) != n:
-        report.append(f"dimension mismatch: var_bounds has length {len(problem.var_bounds)}, expected {n}")
 
     for name, bounds in (("lin_bounds", problem.lin_bounds), ("var_bounds", problem.var_bounds)):
         lo, hi = bounds.lower, bounds.upper
@@ -395,6 +404,6 @@ def validate_problem(problem: QpProblem) -> list[str]:
 
     limits = (problem.lin_bounds.lower, problem.lin_bounds.upper,
               problem.var_bounds.lower, problem.var_bounds.upper)
-    if m_e == 0 and not any(np.isfinite(v).any() for v in limits):
+    if problem.m_eq == 0 and not any(np.isfinite(v).any() for v in limits):
         report.append("no finite bounds or constraints; barrier subproblem is not well-posed")
     return report

@@ -243,17 +243,10 @@ def build_svm_dual(data: SvmDataset, cfg: SvmConfig) -> QpProblem:
                          f"dense-matrix cap of {MAX_PRECOMPUTED_SAMPLES ** 2} entries")
     if not (np.any(data.labels > 0) and np.any(data.labels < 0)):
         raise ValueError("dataset needs at least one sample of each class")
-    y = data.labels
-    return QpProblem(
-        n=n,
-        hessian=_signed_kernel(data, cfg.sigma),
-        p=-np.ones(n),
-        a=sp.csr_matrix((0, n)),
-        lin_bounds=Bounds.free(0),
-        c=sp.csr_matrix(y[None, :]),
-        b=np.zeros(1),
-        var_bounds=Bounds(np.zeros(n), np.full(n, cfg.c)),
-    )
+    return QpProblem(n=n, hessian=_signed_kernel(data, cfg.sigma), p=-np.ones(n),
+                     a=sp.csr_matrix((0, n)), lin_bounds=Bounds.free(0),
+                     c=sp.csr_matrix(data.labels[None, :]), b=np.zeros(1),
+                     var_bounds=Bounds(np.zeros(n), np.full(n, cfg.c)))
 
 
 def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmModel:
@@ -288,12 +281,17 @@ def extract_model(data: SvmDataset, cfg: SvmConfig, alpha: np.ndarray) -> SvmMod
 
 
 def predict(model: SvmModel, x: sp.csr_matrix) -> tuple[float, int]:
-    """Decision value and label for one sample ``x``, a row of a canonical
-    CSR matrix such as ``SvmDataset.samples[j]``; ties go to +1.
+    """Decision value and label for one sample ``x``, a one-row matrix such
+    as ``SvmDataset.samples[j]`` (other row counts are a ValueError), read
+    as a canonical CSR copy (see ``SvmDataset``) unless it is one; ties go to +1.
 
     Features past the training ``n_features`` meet only zeros in the
     support vectors, so they count in ||x||^2 alone. An ||x||^2 that
     overflows is a ValueError, as in training."""
+    if x.shape[0] != 1:
+        raise ValueError(f"predict takes one sample row, not {x.shape[0]}")
+    if x.format != "csr" or not x.has_canonical_format:
+        x = _canonical_csr(x)
     with np.errstate(over="ignore"):
         sq = float(x.data @ x.data)
     if not np.isfinite(sq):

@@ -29,19 +29,16 @@ from qpipm.model import (BoundIndexMap, QuasiNewtonHessian, SparseHessian,
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def read_trace(path: str) -> list[TraceRecord]:
-    records = []
+def read_trace(path: str) -> list[dict]:
+    """The trace CSV's rows, each a dict of its nine columns by header name."""
+    names = TRACE_HEADER.split(",")
     with open(path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header}")
-        for line in fh:
-            f = line.strip().split(",")
-            records.append(TraceRecord(
-                iter=int(f[0]), mu=float(f[1]), primal_inf=float(f[2]),
-                dual_inf=float(f[3]), compl_inf=float(f[4]), cg_iters=int(f[5]),
-                cg_resid=float(f[6]), alpha_x=float(f[7]), alpha_lam=float(f[8])))
-    return records
+        return [{name: (int if name in ("iter", "cg_iters") else float)(v)
+                 for name, v in zip(names, line.strip().split(","), strict=True)}
+                for line in fh]
 
 
 def box_qp_doc():
@@ -187,16 +184,17 @@ class TestTraceFile:
     def test_round_trip(self, tmp_path):
         records = [TraceRecord(iter=1, mu=1.0, primal_inf=0.5, dual_inf=1e-3,
                                compl_inf=2e-7, cg_iters=12, cg_resid=3.21e-8,
-                               alpha_x=0.99, alpha_lam=1.0),
+                               alpha_x=0.99, alpha_lam=1.0, cg_converged=True),
                    TraceRecord(iter=2, mu=0.1, primal_inf=1e-12, dual_inf=0.0,
                                compl_inf=4.5e-5, cg_iters=500, cg_resid=1e-7,
-                               alpha_x=0.123456789, alpha_lam=0.5)]
+                               alpha_x=0.123456789, alpha_lam=0.5, cg_converged=False)]
         path = str(tmp_path / "trace.csv")
         write_trace(path, records)
         back = read_trace(path)
+        # the CSV's columns are the record's fields but cg_converged, in order
         assert back == [
-            TraceRecord(**{k: pytest.approx(v, rel=1e-9) if isinstance(v, float) else v
-                           for k, v in r.__dict__.items()})
+            {name: pytest.approx(v, rel=1e-9) if isinstance(v, float) else v
+             for name, v in zip(TRACE_HEADER.split(","), dataclasses.astuple(r))}
             for r in records]
 
     def test_csv_has_no_cg_converged_column(self, tmp_path):
@@ -206,7 +204,7 @@ class TestTraceFile:
         path = str(tmp_path / "trace.csv")
         write_trace(path, [record])
         assert open(path).read().splitlines()[1].count(",") == 8
-        assert read_trace(path)[0].cg_converged is None
+        assert len(read_trace(path)[0]) == 9
 
     def test_header(self, tmp_path):
         path = str(tmp_path / "trace.csv")
@@ -225,7 +223,7 @@ class TestSolveQpCommand:
         assert doc["x"][0] == pytest.approx(2.0, abs=1e-5)
         records = read_trace(trace)
         assert records
-        assert records[-1].mu < 1e-6
+        assert records[-1]["mu"] < 1e-6
 
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -434,7 +432,7 @@ class TestSolveQpCommand:
         row = read_trace(trace)[-1]
         for name in ("primal_inf", "dual_inf", "compl_inf"):
             assert written[name] == summary[name]
-            assert getattr(row, name) == pytest.approx(summary[name], rel=1e-9)
+            assert row[name] == pytest.approx(summary[name], rel=1e-9)
 
 
 def overflow_doc():
@@ -454,7 +452,7 @@ class TestSolveSvmCommand:
         assert code == 0
         doc = json.load(open(sol))
         records = read_trace(trace)  # raises unless the header is TRACE_HEADER
-        assert [r.iter for r in records] == list(range(1, doc["iterations"] + 1))
+        assert [r["iter"] for r in records] == list(range(1, doc["iterations"] + 1))
         alpha = np.array(doc["alpha"])
         assert abs(alpha[0] - alpha[1]) <= 1e-6  # alpha'y = 0 with y = (1, -1)
         assert "bias" in doc and "support_indices" in doc
@@ -618,6 +616,18 @@ class TestCheckCommand:
 
     def test_unreadable(self):
         assert main(["check", "/no/such/file"]) == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve-qp"])
+    def test_var_bounds_of_another_length(self, command, tmp_path, capsys):
+        """lx and ux of one length that is not n: the problem's construction
+        raises, an input error like every malformed member."""
+        doc = box_qp_doc()
+        doc.update(lx=[0.0, 0.0], ux=[1.0, 1.0])
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: var_bounds has length 2, expected 1\n")
 
     def test_python_dash_m_exits_with_the_command_status(self, qp_path, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -1,15 +1,17 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_hessian, random_hessian, sparse_from_dense,
                      sparse_to_dense)
 from qpipm.cli import parse_qp_document, qp_document
-from qpipm.ipm import SolveStatus, solve
+from qpipm.ipm import IpmConfig, SolveStatus, solve
+from qpipm.linalg import PcgConfig
 from qpipm.model import (Bounds, DimensionError, QpProblem, QuasiNewtonHessian,
                          SparseHessian, SparseMatrix, box_qp, hessian_apply,
                          hessian_diagonal, validate_problem)
@@ -153,11 +155,87 @@ class TestHessianApply:
      "update matrix must be n x k with k weights"),
     (lambda: QuasiNewtonHessian([1.0, 1.0], np.zeros(2), []),
      "update matrix must be n x k with k weights"),
+    (lambda: QuasiNewtonHessian([[1.0], [2.0]], np.zeros((2, 1)), [1.0]),
+     "h0_diag and w must be one-dimensional"),
+    (lambda: QuasiNewtonHessian([1.0, 2.0], np.zeros((2, 1)), [[1.0]]),
+     "h0_diag and w must be one-dimensional"),
     (lambda: Bounds([0.0, 0.0], [1.0]), "lower and upper must have equal length"),
-], ids=["u_rows", "u_columns", "u_one_dimensional", "bounds_lengths"])
+    (lambda: Bounds([[0.0, 0.0]], [[1.0, 1.0]]), "lower and upper must be one-dimensional"),
+    (lambda: Bounds(0.0, 1.0), "lower and upper must be one-dimensional"),
+    (lambda: SparseHessian(np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0]])),
+     r"hessian is not square: shape \(2, 3\)"),
+    # two rows of A, one entry of lin_bounds: a solve would ignore row 1
+    (lambda: QpProblem(n=2, hessian=SparseHessian(np.eye(2)), p=[0.0, 0.0],
+                       a=np.eye(2), lin_bounds=Bounds([0.0], [1.0]),
+                       c=sp.csr_matrix((0, 2)), b=[], var_bounds=Bounds.free(2)),
+     "dimension mismatch: lin_bounds has length 1, expected 2"),
+    # C = I with b = [3.0]: a solve would broadcast b and return x = (3, 3)
+    (lambda: QpProblem(n=2, hessian=SparseHessian(np.eye(2)), p=[0.0, 0.0],
+                       a=sp.csr_matrix((0, 2)), lin_bounds=Bounds.free(0),
+                       c=np.eye(2), b=[3.0], var_bounds=Bounds.free(2)),
+     "dimension mismatch: b has length 1, expected 2"),
+    (lambda: box_qp(SparseHessian(np.eye(2)), [[0.0], [1.0]], [0.0, 0.0], [1.0, 1.0]),
+     r"dimension mismatch: p has shape \(2, 1\), expected 2"),
+    (lambda: box_qp(SparseHessian(np.eye(2)), 0.0, [0.0, 0.0], [1.0, 1.0]),
+     r"dimension mismatch: p has shape \(\), expected 2"),
+], ids=["u_rows", "u_columns", "u_one_dimensional", "h0_diag_two_dimensional",
+        "w_two_dimensional", "bounds_lengths", "bounds_two_dimensional",
+        "bounds_scalar", "hessian_dense_not_square", "a_rows", "b_broadcast",
+        "p_column", "p_scalar"])
 def test_inconsistent_shapes_are_dimension_errors(build, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):
         build()
+
+
+def _random_qp(data, n: int) -> QpProblem:
+    """An n-variable QP with a positive definite Hessian, 0-2 rows each in A
+    and C, and entries and finite bounds in [-3, 3]; a bound is infinite or
+    not at random, and lower <= 0 <= upper."""
+    vals = st.floats(-3.0, 3.0)
+    side = st.one_of(st.just(np.inf), st.floats(0.0, 3.0))
+
+    def mat(rows, cols):
+        return np.array(data.draw(st.lists(vals, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols)
+
+    def bounds(size):
+        sides = st.lists(side, min_size=size, max_size=size)
+        return Bounds(-np.array(data.draw(sides), dtype=np.float64), data.draw(sides))
+
+    g = mat(n, n)
+    m_a, m_c = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    return QpProblem(n=n, hessian=SparseHessian(g @ g.T + 0.1 * np.eye(n)),
+                     p=mat(1, n)[0], a=mat(m_a, n), lin_bounds=bounds(m_a),
+                     c=mat(m_c, n), b=mat(1, m_c)[0], var_bounds=bounds(n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_valid_random_qp_ends_in_a_status(n, data):
+    """A QP that builds and passes validate_problem is solved to a status,
+    never to an exception (inconsistent C x = b included)."""
+    problem = _random_qp(data, n)
+    assume(validate_problem(problem) == [])
+    report = solve(problem, IpmConfig(max_iters=30, pcg=PcgConfig(max_iters=100)))
+    assert isinstance(report.status, SolveStatus)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2),
+       st.sampled_from(["p", "hessian", "A", "lin_bounds", "C", "b", "var_bounds"]),
+       st.sampled_from([-1, 1]))
+def test_random_inconsistent_shapes_are_dimension_errors(n, m_a, m_c, part, delta):
+    """One part of an otherwise consistent QP one longer or shorter: the
+    construction names that part."""
+    size = {"p": n, "hessian": n, "A": n, "lin_bounds": m_a, "C": n, "b": m_c,
+            "var_bounds": n}
+    size[part] = abs(size[part] + delta)
+    with pytest.raises(DimensionError, match=f"^dimension mismatch: {part} "):
+        QpProblem(n=n, hessian=SparseHessian(sp.eye(size["hessian"])),
+                  p=np.zeros(size["p"]), a=sp.csr_matrix((m_a, size["A"])),
+                  lin_bounds=Bounds.free(size["lin_bounds"]),
+                  c=sp.csr_matrix((m_c, size["C"])), b=np.zeros(size["b"]),
+                  var_bounds=Bounds.free(size["var_bounds"]))
 
 
 class TestHessianDiagonal:
@@ -256,14 +334,20 @@ class TestValidateProblem:
          "dimension mismatch: b has length 2, expected 1"),
         ({"var_bounds": Bounds([0.0], [1.0])},
          "dimension mismatch: var_bounds has length 1, expected 2"),
-        # an equality row keeps the barrier subproblem well-posed
-        ({"n": 0, "hessian": SparseHessian(sp.diags([])), "p": [], "a": sp.csr_matrix((0, 0)),
-          "c": sp.csr_matrix((1, 0)), "b": [0.0], "var_bounds": Bounds.free(0)},
-         "empty variable space (n must be >= 1)"),
     ], ids=["p", "hessian", "a_columns", "lin_bounds", "c_columns", "b",
-            "var_bounds", "n"])
+            "var_bounds"])
     def test_dimension_mismatch(self, fields, message):
-        assert validate_problem(replace(self.well_formed(), **fields)) == [message]
+        """Shapes are checked on construction, by dataclasses.replace too,
+        so validate_problem never sees an inconsistent problem."""
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            replace(self.well_formed(), **fields)
+
+    def test_empty_variable_space(self):
+        # an equality row keeps the barrier subproblem well-posed
+        p = replace(self.well_formed(), n=0, hessian=SparseHessian(sp.diags([])), p=[],
+                    a=sp.csr_matrix((0, 0)), c=sp.csr_matrix((1, 0)), b=[0.0],
+                    var_bounds=Bounds.free(0))
+        assert validate_problem(p) == ["empty variable space (n must be >= 1)"]
 
     def test_nan_rejected(self):
         p = box_qp(SparseHessian(sp.diags([1.0])), [np.nan], [0.0], [1.0])
@@ -286,11 +370,10 @@ class TestValidateProblem:
         ([[2.0, 0.3], [0.3, 2.0]], []),
         ([[2.0, np.nan], [np.nan, 2.0]], ["non-finite data (NaN) in hessian"]),
         ([[2.0, 0.0], [0.0, np.inf]], ["non-finite data (inf) in hessian"]),
-        ([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0]], ["hessian is not square: shape (2, 3)"]),
-    ], ids=["non_symmetric", "symmetric", "nan", "inf", "non_square"])
+    ], ids=["non_symmetric", "symmetric", "nan", "inf"])
     def test_dense_array_hessian_report(self, m, expected):
         """A dense array's violations, stated exactly: NaN before inf, and
-        no symmetry test once the data is not finite or not square."""
+        no symmetry test once the data is not finite."""
         assert SparseHessian(np.array(m)).validate() == expected
 
     def test_sparse_hessian_shape_and_symmetry(self):
@@ -298,8 +381,8 @@ class TestValidateProblem:
             return SparseHessian(sp.csr_matrix(m)).validate()
 
         assert report([[2.0, 1.0], [0.0, 2.0]]) == ["hessian is not symmetric"]
-        assert report([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0]]) == [
-            "hessian is not square: shape (2, 3)"]
+        with pytest.raises(DimensionError, match=r"^hessian is not square: shape \(2, 3\)$"):
+            report([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
         assert report([[2.0, 0.3], [0.3 + 1e-12, 2.0]]) == []
         assert report(np.zeros((2, 2))) == []
 

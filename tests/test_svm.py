@@ -431,6 +431,31 @@ class TestTrainAndPredict:
         with pytest.raises(ValueError, match="squared feature norm overflows"):
             predict(model, parse_libsvm("+1 1:1e200\n").samples[0])
 
+    def readme_model(self):
+        data = parse_libsvm(b"+1 1:1 3:0.5\n-1 2:1\n+1 1:0.8\n-1 2:0.9 3:0.1\n")
+        return self.train(data, SvmConfig(sigma=1.0, c=10.0))[1]
+
+    def test_duplicate_index_row_is_summed(self):
+        """A row scipy reads as (2, 0, 0) scores as its canonical form."""
+        model = self.readme_model()
+        duplicate = sp.csr_matrix(([1.0, 1.0], [0, 0], [0, 2]), shape=(1, 3))
+        canonical = vec([(0, 2.0)])
+        assert duplicate.toarray().tolist() == [[2.0, 0.0, 0.0]]
+        assert predict(model, canonical)[0] == pytest.approx(0.800, abs=1e-3)
+        assert predict(model, duplicate) == predict(model, canonical)
+        assert duplicate.data.tolist() == [1.0, 1.0]  # the caller's row is kept
+
+    def test_canonical_row_is_not_copied(self, monkeypatch):
+        model = self.readme_model()
+        monkeypatch.setattr(svm, "_canonical_csr", None)  # a call would raise
+        assert predict(model, model.dataset.samples[1])[1] == -1
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_not_one_row_is_rejected(self, rows):
+        model = self.readme_model()
+        with pytest.raises(ValueError, match=f"one sample row, not {rows}$"):
+            predict(model, model.dataset.samples[:rows])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SvmConfig(sigma=0.0, c=1.0)
